@@ -31,18 +31,20 @@ from typing import Dict, List, Tuple
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 #: Set-ups per untraced run; setup_s is their median.
-SETUPS = 3
-#: Fewest ops per window of the tail estimate (see tail()).
-TAIL_WINDOW = 60
+SETUPS = 5
+#: Fewest ops per window of the tail estimate: with at least 10 samples
+#: beyond it, a window's tail is then its p95 or higher.
+TAIL_WINDOW = 200
 
 
-def tail(values: List[float]) -> Tuple[float, float]:
-    """``(value, percentile)`` of the latency tail.
+def tail(values: List[float]) -> Tuple[float, float, int]:
+    """``(value, percentile, windows)`` of the latency tail.
 
-    The ops split into consecutive windows of at least ``TAIL_WINDOW``;
-    each window's tail is its highest percentile with at least ten
-    samples beyond it (never below its median), and the result is the
-    median over windows, so one burst of host noise moves one window.
+    The ops split into consecutive windows of at least ``TAIL_WINDOW``
+    (one window for a shorter run); each window's tail is its highest
+    percentile with at least ten samples beyond it, never below its
+    median, and the result is the median over windows, so a burst of
+    host noise a few seconds long moves one window, not the figure.
     """
     windows = max(1, len(values) // TAIL_WINDOW)
     size = len(values) // windows
@@ -53,14 +55,14 @@ def tail(values: List[float]) -> Tuple[float, float]:
         index = max(len(chunk) - 11, len(chunk) // 2)
         tails.append((chunk[index], 100.0 * (index + 1) / len(chunk)))
     return (statistics.median(t for t, _ in tails),
-            statistics.median(p for _, p in tails))
+            statistics.median(p for _, p in tails), windows)
 
 
 def end_to_end(run) -> Dict[str, Tuple[float, str]]:
-    value, percentile = tail(run.latencies)
+    value, percentile, windows = tail(run.latencies)
     run.detail["op_tail_percentile"] = percentile
+    run.detail["op_tail_windows"] = windows
     run.detail["op_samples"] = len(run.latencies)
-    run.detail["op_tail_windows"] = max(1, len(run.latencies) // TAIL_WINDOW)
     return {
         "setup_s": (statistics.median(run.setup_s), "s"),
         "op_p50_ms": (1000 * statistics.median(run.latencies), "ms"),
@@ -80,6 +82,9 @@ def per_layer(name: str, untraced, traced) -> Dict[str, Tuple[float, str]]:
     def self_s(span: str) -> float:
         return rec["spans"].get(span, [0.0, 0.0, 0.0])[2] / ops
 
+    def counter(name: str) -> float:
+        return rec["counters"].get(name, 0.0)
+
     def calls(span: str) -> float:
         return rec["spans"].get(span, [0.0, 0.0, 0.0])[0] / ops
 
@@ -94,8 +99,7 @@ def per_layer(name: str, untraced, traced) -> Dict[str, Tuple[float, str]]:
         "paths.dijkstra.self_s": (self_s("paths.dijkstra"), "s"),
         "paths.dijkstra.calls": (calls("paths.dijkstra"), "count"),
         "core.eliminate.self_s": (self_s("core.eliminate"), "s"),
-        "core.candidates": (
-            rec["counters"].get("core.candidates", 0.0) / ops, "count"),
+        "core.candidates": (counter("core.candidates") / ops, "count"),
         "core.select.self_s": (self_s("core.select"), "s"),
         "reliability.overlay.self_s": (self_s("reliability.overlay"), "s"),
         "reliability.overlay.calls": (calls("reliability.overlay"), "count"),
@@ -103,8 +107,7 @@ def per_layer(name: str, untraced, traced) -> Dict[str, Tuple[float, str]]:
         "engine.sample.self_s": (self_s("engine.sample"), "s"),
         "engine.sample.calls": (calls("engine.sample"), "count"),
         "engine.sample.coin_bytes": (
-            rec["counters"].get("engine.sample.coin_bytes", 0.0) / ops,
-            "bytes_computed"),
+            counter("engine.sample.coin_bytes") / ops, "bytes_computed"),
         "engine.sweep.self_s": (self_s("engine.sweep"), "s"),
         "engine.sweep.calls": (calls("engine.sweep"), "count"),
         "engine.compile.self_s": (self_s("engine.compile"), "s"),
@@ -119,6 +122,10 @@ def per_layer(name: str, untraced, traced) -> Dict[str, Tuple[float, str]]:
         "api.reach.sweeps_per_read": (
             rec["spans"].get("engine.sweep", [0.0])[0] / reads
             if serve and reads else 0.0, "count"),
+        "api.reach.hit_share": (
+            1.0 - counter("engine.sweep.sources")
+            / counter("api.reach.lookups")
+            if serve and counter("api.reach.lookups") else 0.0, "ratio"),
         "index.store.self_s": (self_s("index.store"), "s"),
         "index.result.hit_ratio": (
             traced.detail.get("result_hit_ratio", 0.0), "ratio"),
@@ -202,6 +209,13 @@ def main(argv=None) -> int:
                                    tracer=tracing.Tracer())
         tracing.check_expected(args.workload, traced.trace)
         metrics = per_layer(args.workload, untraced, traced)
+        if args.workload == "serve-mixed":
+            # The traffic shape is meant to hit both caches only partly.
+            for name in ("index.result.hit_ratio", "api.reach.hit_share"):
+                if not 0.0 < metrics[name][0] < 1.0:
+                    raise tracing.TraceError(
+                        f"{name} is {metrics[name][0]:.3f}, not strictly "
+                        "between 0 and 1")
         traced.detail["end_to_end"] = end_to_end(traced)
         untraced.detail["end_to_end"] = end_to_end(untraced)
         for name, (value, unit) in untraced.detail["end_to_end"].items():

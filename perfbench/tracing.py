@@ -35,6 +35,21 @@ def _coin_bytes(args: tuple, kwargs: dict, result: Any) -> Tuple[str, float]:
     return "engine.sample.coin_bytes", plan.num_edges * samples / 8.0
 
 
+def _reach_lookups(args: tuple, kwargs: dict,
+                   result: Any) -> Tuple[str, float]:
+    # pair_hit_fractions(plan, batch, pairs, ...): one reach-cache lookup
+    # per distinct source.
+    pairs = args[2] if len(args) > 2 else kwargs["pairs"]
+    return "api.reach.lookups", float(len({s for s, _ in pairs}))
+
+
+def _swept_sources(args: tuple, kwargs: dict,
+                   result: Any) -> Tuple[str, float]:
+    # batch_reach(_multi)(plan, batch, source_indices, ...)
+    sources = args[2] if len(args) > 2 else kwargs["source_indices"]
+    return "engine.sweep.sources", float(len(sources))
+
+
 def _candidates(args: tuple, kwargs: dict, result: Any) -> Tuple[str, float]:
     return "core.candidates", float(len(result.edges))
 
@@ -65,10 +80,13 @@ PATCHES: List[Tuple[str, str, str, bool, Optional[Callable]]] = [
     ("repro.api.session", "sample_worlds", "engine.sample", True, _coin_bytes),
     ("repro.engine.batch", "sample_worlds", "engine.sample", True,
      _coin_bytes),
-    ("repro.api.session", "pair_hit_fractions", "engine.sweep", False, None),
+    ("repro.api.session", "pair_hit_fractions", "engine.sweep", False,
+     _reach_lookups),
     ("repro.engine.batch", "pair_hit_fractions", "engine.sweep", False, None),
-    ("repro.engine.batch", "batch_reach", "engine.sweep", True, None),
-    ("repro.engine.batch", "batch_reach_multi", "engine.sweep", True, None),
+    ("repro.engine.batch", "batch_reach", "engine.sweep", True,
+     _swept_sources),
+    ("repro.engine.batch", "batch_reach_multi", "engine.sweep", True,
+     _swept_sources),
     ("repro.api.session", "compile_plan", "engine.compile", True, None),
     ("repro.reliability.rss", "build_query_plan", "engine.compile", True,
      None),
@@ -98,7 +116,6 @@ EXPECTED = {
         "reliability.overlay", "reliability.estimate", "engine.sample",
         "engine.sweep", "engine.compile", "api.run",
     ),
-    "reliability-cold": ("engine.sample", "engine.sweep", "api.run"),
     "serve-mixed": (
         "serve.http", "serve.coalesce", "api.run", "api.delta",
         "engine.sweep", "engine.compile", "engine.repair", "engine.resume",
