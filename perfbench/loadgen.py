@@ -5,7 +5,7 @@ open loop sends request ``i`` at ``start + i / rate`` whatever the
 server's state, so a stall shows up as latency of the requests queued
 behind it: every latency is timed from when its request was *due*, not
 from when it was sent.  The closed loop sends each connection's next
-request as soon as its previous reply arrives, and measures capacity.
+request as soon as its previous reply arrives; it warms the server up.
 """
 
 from __future__ import annotations
@@ -65,12 +65,11 @@ class Connection:
 
 
 def _drive(connections: Sequence[Connection], requests: Sequence[Request],
-           first: int, count: int, rate: Optional[float],
-           deadline: Optional[float]) -> List[Record]:
+           first: int, count: int, rate: Optional[float]) -> List[Record]:
     """Send ``requests[first:first + count]`` over ``connections``.
 
     With ``rate`` the requests follow the open-loop schedule; without it
-    each connection sends back to back until ``deadline`` (if any).
+    each connection sends back to back.
     """
     lock = threading.Lock()
     cursor = [first]
@@ -85,8 +84,6 @@ def _drive(connections: Sequence[Connection], requests: Sequence[Request],
                 with lock:
                     index = cursor[0]
                     if index >= end:
-                        return
-                    if deadline is not None and time.perf_counter() >= deadline:
                         return
                     cursor[0] += 1
                 free = time.perf_counter()
@@ -121,17 +118,10 @@ def _drive(connections: Sequence[Connection], requests: Sequence[Request],
 def open_loop(connections: Sequence[Connection], requests: Sequence[Request],
               first: int, count: int, rate: float) -> List[Record]:
     """Open-loop phase: ``count`` requests at ``rate`` per second."""
-    return _drive(connections, requests, first, count, rate, None)
+    return _drive(connections, requests, first, count, rate)
 
 
 def closed_loop(connections: Sequence[Connection],
-                requests: Sequence[Request], first: int,
-                seconds: Optional[float], limit: Optional[int] = None,
-                ) -> Tuple[List[Record], float]:
-    """Closed-loop phase: back-to-back requests for ``seconds`` (or
-    exactly ``limit`` requests); returns the records and elapsed time."""
-    start = time.perf_counter()
-    deadline = None if seconds is None else start + seconds
-    count = len(requests) - first if limit is None else limit
-    records = _drive(connections, requests, first, count, None, deadline)
-    return records, time.perf_counter() - start
+                requests: Sequence[Request]) -> List[Record]:
+    """Closed loop: every request, each connection sending back to back."""
+    return _drive(connections, requests, 0, len(requests), None)

@@ -5,10 +5,13 @@
 Run from the repository root; the program is imported from ``src/``.
 The last line of standard output is one JSON object with ``correct``,
 ``attempted``, ``failed`` and ``metrics``.  ``--trace 0`` reports the
-end-to-end metrics (measured with tracing off); ``--trace 1`` reports
-the per-layer metrics.  A traced run measures the workload twice on
-the same inputs, first untraced for half the time budget and then
-traced over exactly the same ops, so the tracing overhead is the
+end-to-end metrics (measured with tracing off): set-up time and the CPU
+time the program spends per op.  Op costs are CPU time, not wall time,
+because on a shared host wall time also counts the time the host ran
+someone else; wall latencies are reported per layer.  ``--trace 1``
+reports the per-layer metrics.  A traced run measures the workload
+twice on the same inputs, first untraced for half the time budget and
+then traced over exactly the same ops, so the tracing overhead is the
 difference between the two passes.  Each run also writes a full record
 (host fingerprint, op counts, every figure) to ``perfbench/results/``;
 ``perfbench/compare.py`` diffs two sets of records layer by layer.
@@ -32,42 +35,21 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 #: Set-ups per untraced run; setup_s is their median.
 SETUPS = 5
-#: Fewest ops per window of the tail estimate: with at least 10 samples
-#: beyond it, a window's tail is then its p95 or higher.
-TAIL_WINDOW = 200
 
 
-def tail(values: List[float]) -> Tuple[float, float, int]:
-    """``(value, percentile, windows)`` of the latency tail.
-
-    The ops split into consecutive windows of at least ``TAIL_WINDOW``
-    (one window for a shorter run); each window's tail is its highest
-    percentile with at least ten samples beyond it, never below its
-    median, and the result is the median over windows, so a burst of
-    host noise a few seconds long moves one window, not the figure.
-    """
-    windows = max(1, len(values) // TAIL_WINDOW)
-    size = len(values) // windows
-    tails = []
-    for w in range(windows):
-        chunk = sorted(values[w * size:(w + 1) * size if w < windows - 1
-                              else len(values)])
-        index = max(len(chunk) - 11, len(chunk) // 2)
-        tails.append((chunk[index], 100.0 * (index + 1) / len(chunk)))
-    return (statistics.median(t for t, _ in tails),
-            statistics.median(p for _, p in tails), windows)
+def tail(values: List[float]) -> Tuple[float, float]:
+    """``(value, percentile)``: the highest percentile with at least ten
+    samples beyond it, never below the median."""
+    ordered = sorted(values)
+    index = max(len(ordered) - 11, len(ordered) // 2)
+    return ordered[index], 100.0 * (index + 1) / len(ordered)
 
 
 def end_to_end(run) -> Dict[str, Tuple[float, str]]:
-    value, percentile, windows = tail(run.latencies)
-    run.detail["op_tail_percentile"] = percentile
-    run.detail["op_tail_windows"] = windows
-    run.detail["op_samples"] = len(run.latencies)
+    run.detail["op_samples"] = run.ops
     return {
         "setup_s": (statistics.median(run.setup_s), "s"),
-        "op_p50_ms": (1000 * statistics.median(run.latencies), "ms"),
-        "op_tail_ms": (1000 * value, "ms"),
-        "ops_per_s": (run.ops_per_s, "1/s"),
+        "op_cpu_ms": (1000 * run.cpu_per_op, "ms"),
     }
 
 
@@ -75,9 +57,8 @@ def per_layer(name: str, untraced, traced) -> Dict[str, Tuple[float, str]]:
     """Per-op layer figures of the traced pass (see BENCHMARK.json)."""
     rec = traced.trace
     serve = name == "serve-mixed"
-    ops = traced.detail["load_requests"] if serve else len(traced.latencies)
-    reads = traced.detail.get("load_reads", 0)
-    writes = ops - reads if serve else 0
+    ops = traced.ops
+    reads = traced.detail.get("reads", 0)
 
     def self_s(span: str) -> float:
         return rec["spans"].get(span, [0.0, 0.0, 0.0])[2] / ops
@@ -92,9 +73,10 @@ def per_layer(name: str, untraced, traced) -> Dict[str, Tuple[float, str]]:
         busy = traced.detail["service_s"] - rec["coalesce_wait_s"]
     else:
         busy = sum(traced.latencies)
-    base_p50 = statistics.median(untraced.latencies)
-    overhead = statistics.median(traced.latencies) - base_p50
-    figures = {
+    wall_tail, percentile = tail(untraced.latencies)
+    untraced.detail["op_tail_percentile"] = percentile
+    overhead = traced.cpu_per_op - untraced.cpu_per_op
+    return {
         "paths.top_l.self_s": (self_s("paths.top_l"), "s"),
         "paths.dijkstra.self_s": (self_s("paths.dijkstra"), "s"),
         "paths.dijkstra.calls": (calls("paths.dijkstra"), "count"),
@@ -138,12 +120,12 @@ def per_layer(name: str, untraced, traced) -> Dict[str, Tuple[float, str]]:
         "loadgen.lateness_p99_ms": (
             traced.detail.get("lateness_p99_ms", 0.0), "ms"),
         "op.unattributed_s": ((busy - rec["top_level_s"]) / ops, "s"),
-        "trace.overhead_pct": (100.0 * overhead / base_p50, "%"),
+        "trace.overhead_pct": (100.0 * overhead / untraced.cpu_per_op, "%"),
         "gain_mean": (untraced.detail.get("gain_mean", 0.0), "prob"),
+        "wall.op_p50_ms": (1000 * statistics.median(untraced.latencies), "ms"),
+        "wall.op_tail_ms": (1000 * wall_tail, "ms"),
         "write_p50_ms": (untraced.detail.get("write_p50_ms", 0.0), "ms"),
     }
-    traced.detail["writes_per_op"] = writes / ops if ops else 0.0
-    return figures
 
 
 def fingerprint() -> dict:

@@ -11,9 +11,9 @@ server.  A *pass* sets the workload up, measures it for a time budget
   BE selection, one caller in a closed loop.  Pure-Python path search
   and elimination dominate; ``index`` and ``serve`` do no work.
 * ``serve-mixed`` — ``repro serve --store`` in its own process under an
-  open-loop 95% read / 5% edge-edit mix, then a closed-loop capacity
-  phase.  Serving, the session caches, the store, and engine sweep and
-  repair dominate; coin sampling does little because the batch is warm.
+  open-loop 95% read / 5% edge-edit mix.  Serving, the session caches,
+  the store, and engine sweep and repair dominate; coin sampling does
+  little because the batch is warm.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import resource
 import shutil
 import signal
 import statistics
@@ -45,9 +46,10 @@ class PassResult:
     """What one pass measured and checked."""
 
     setup_s: List[float]
-    #: Latency of each primary op, in seconds (reads on serve-mixed).
+    #: Wall latency of each primary op, in seconds (reads on serve-mixed).
     latencies: List[float]
-    ops_per_s: float
+    #: CPU seconds the program spent per measured op (see ``cpu_s``).
+    cpu_per_op: float
     attempted: int
     failed: int
     #: Ops a replay must repeat to do the same work (see run.py).
@@ -86,6 +88,20 @@ def measure_setup(root: Path, seed: int, setups: int) -> List[float]:
         if child.returncode != 0 or ready != "ready":
             raise RuntimeError("set-up probe failed")
     return elapsed
+
+
+def cpu_s(pid: Optional[int] = None) -> float:
+    """User plus system CPU seconds of a process (this one by default),
+    its threads and the children it has waited for.  Unlike wall time it
+    leaves out the time the host gave the processor to someone else."""
+    if pid is None:
+        own = resource.getrusage(resource.RUSAGE_SELF)
+        kids = resource.getrusage(resource.RUSAGE_CHILDREN)
+        return own.ru_utime + own.ru_stime + kids.ru_utime + kids.ru_stime
+    with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
+        fields = handle.read().rsplit(")", 1)[1].split()
+    # utime, stime, cutime and cstime: fields 14-17 of proc(5).
+    return sum(int(f) for f in fields[11:15]) / os.sysconf("SC_CLK_TCK")
 
 
 def _report_failure(what: str) -> None:
@@ -145,7 +161,7 @@ class MaximizeBE:
                 failed += 1
 
         undo = tracing.install(tracer) if tracer is not None else None
-        start = time.perf_counter()
+        start, start_cpu = time.perf_counter(), cpu_s()
         try:
             for pair in self.pairs:
                 if limit is not None and len(latencies) >= limit:
@@ -156,6 +172,7 @@ class MaximizeBE:
                 attempt(pair)
                 latencies.append(time.perf_counter() - began)
         finally:
+            busy_cpu = cpu_s() - start_cpu
             if undo is not None:
                 undo()
         measured = len(latencies)
@@ -191,7 +208,7 @@ class MaximizeBE:
         return PassResult(
             setup_s=setup_s,
             latencies=latencies,
-            ops_per_s=measured / sum(latencies) if latencies else 0.0,
+            cpu_per_op=busy_cpu / measured if measured else 0.0,
             attempted=max(attempted, 1),
             failed=failed,
             ops=measured,
@@ -205,11 +222,10 @@ class MaximizeBE:
 # ----------------------------------------------------------------------
 class ServeMixed:
     name = "serve-mixed"
-    #: Open-loop arrival rate, about 40% of the closed-loop capacity on a
-    #: 2-core host: high enough that the open loop fills three windows of
-    #: the tail estimate (run.TAIL_WINDOW), low enough that a passing
-    #: host slowdown does not push the single session worker to
-    #: saturation (at 25 req/s one run in five did, doubling its tail).
+    #: Open-loop arrival rate, about 40% of the closed-loop capacity of
+    #: two connections on a 2-core host: low enough that a passing host
+    #: slowdown does not push the single session worker to saturation
+    #: (at 25 req/s one run in five did, doubling its tail).
     RATE = 20.0
     CONNECTIONS = 2
     WRITE_EVERY = 20
@@ -223,10 +239,7 @@ class ServeMixed:
     READ_TARGETS = 4
     ZIPF_EXPONENT = 1.0
     WARM_SOURCES = 128
-    #: Share of the time budget spent in the open loop; the rest is the
-    #: closed-loop capacity phase.
-    OPEN_SHARE = 0.8
-    NUM_REQUESTS = 6000
+    NUM_REQUESTS = 3600
     NUM_PROBES = 8
     #: A run whose generator sent more than this share of its requests
     #: over LATE_S after they were due on a free connection is invalid:
@@ -342,18 +355,15 @@ class ServeMixed:
             server = processes[-1]
             conns = [loadgen.Connection(port) for _ in range(self.CONNECTIONS)]
             try:
-                warm, _ = loadgen.closed_loop(conns, self.warmup, 0, None)
+                warm = loadgen.closed_loop(conns, self.warmup)
                 health_before = conns[0].send("GET", "/healthz")[1]
                 trace_before = _snapshot(server, spans) if spans else None
-                n_open = int(self.RATE * seconds * self.OPEN_SHARE)
-                opened = loadgen.open_loop(conns, self.requests, 0, n_open,
-                                           self.RATE)
-                capacity, cap_s = loadgen.closed_loop(
-                    conns, self.requests, n_open,
-                    None if limit is not None
-                    else seconds * (1.0 - self.OPEN_SHARE),
-                    limit,
-                )
+                start_cpu = cpu_s(server.pid)
+                count = (int(self.RATE * seconds) if limit is None
+                         else limit)
+                load = loadgen.open_loop(conns, self.requests, 0, count,
+                                         self.RATE)
+                busy_cpu = cpu_s(server.pid) - start_cpu
                 trace_after = _snapshot(server, spans) if spans else None
                 health_after = conns[0].send("GET", "/healthz")[1]
                 probed = [conns[0].send("POST", "/reliability", body)
@@ -367,7 +377,6 @@ class ServeMixed:
                 _stop(process)
             shutil.rmtree(workdir, ignore_errors=True)
 
-        load = opened + capacity
         failed = sum(not _valid(record.status, record.body, record.kind)
                      for record in load)
         failed += sum(not _valid(r.status, r.body, r.kind) for r in warm)
@@ -388,9 +397,9 @@ class ServeMixed:
             ) == expected.values
             failed += not ok
 
-        reads = [r for r in opened if r.kind == "read"]
-        writes = [r for r in opened if r.kind == "write"]
-        late = sum(r.lateness > self.LATE_S for r in opened)
+        reads = [r for r in load if r.kind == "read"]
+        writes = [r for r in load if r.kind == "write"]
+        late = sum(r.lateness > self.LATE_S for r in load)
         coalescer = _counter_delta(health_before, health_after, "coalescer")
         store = _counter_delta(health_before, health_after, "store",
                                "counters")
@@ -402,12 +411,10 @@ class ServeMixed:
             "writes": len(writes),
             "write_p50_ms": 1000 * statistics.median(
                 r.latency for r in writes) if writes else 0.0,
-            "capacity_rps": len(capacity) / cap_s if cap_s > 0 else 0.0,
-            "capacity_requests": len(capacity),
-            "late_share": late / max(len(opened), 1),
+            "late_share": late / len(load),
             "lateness_p99_ms": 1000 * _quantile(
-                [r.lateness for r in opened], 0.99),
-            "valid": late / max(len(opened), 1) <= self.LATE_SHARE,
+                [r.lateness for r in load], 0.99),
+            "valid": late / len(load) <= self.LATE_SHARE,
             "batch_size": coalescer["batched_requests"]
             / max(coalescer["batches"], 1),
             "shed": coalescer["shed"],
@@ -418,8 +425,6 @@ class ServeMixed:
             "dropped_states": statistics.fmean(
                 p["dropped_states"] for p in patches) if patches else 0.0,
             "service_s": sum(r.done - r.sent for r in load),
-            "load_reads": sum(r.kind == "read" for r in load),
-            "load_requests": len(load),
         }
         recorded = None
         if tracer is not None:
@@ -427,10 +432,10 @@ class ServeMixed:
         return PassResult(
             setup_s=setup_s,
             latencies=[r.latency for r in reads],
-            ops_per_s=detail["capacity_rps"],
+            cpu_per_op=busy_cpu / len(load),
             attempted=len(load) + len(warm) + len(probed),
             failed=failed,
-            ops=len(capacity),
+            ops=len(load),
             trace=recorded,
             detail=detail,
         )
