@@ -5,11 +5,13 @@
 Run from the repository root; the program is imported from ``src/``.
 The last line of standard output is one JSON object with ``correct``,
 ``attempted``, ``failed`` and ``metrics``.  ``--trace 0`` reports the
-end-to-end metrics (measured with tracing off): set-up time and the CPU
-time the program spends per op.  Op costs are CPU time, not wall time,
-because on a shared host wall time also counts the time the host ran
-someone else; wall latencies are reported per layer.  ``--trace 1``
-reports the per-layer metrics.  A traced run measures the workload
+end-to-end metrics (measured with tracing off): set-up time, and the
+CPU time the program spends per op as a multiple of a fixed reference
+computation's, run on the same processor at the same time (see
+``reference.py``).  On a shared host neither wall time nor bare CPU
+time is steady from one minute to the next; wall latencies and bare CPU
+times are reported per layer.  ``--trace 1`` reports the per-layer
+metrics.  A traced run measures the workload
 twice on the same inputs, first untraced for half the time budget and
 then traced over exactly the same ops, so the tracing overhead is the
 difference between the two passes.  Each run also writes a full record
@@ -49,7 +51,7 @@ def end_to_end(run) -> Dict[str, Tuple[float, str]]:
     run.detail["op_samples"] = run.ops
     return {
         "setup_s": (statistics.median(run.setup_s), "s"),
-        "op_cpu_ms": (1000 * run.cpu_per_op, "ms"),
+        "op_cpu_ref": (run.relative_cost, "ref"),
     }
 
 
@@ -75,7 +77,7 @@ def per_layer(name: str, untraced, traced) -> Dict[str, Tuple[float, str]]:
         busy = sum(traced.latencies)
     wall_tail, percentile = tail(untraced.latencies)
     untraced.detail["op_tail_percentile"] = percentile
-    overhead = traced.cpu_per_op - untraced.cpu_per_op
+    overhead = traced.relative_cost - untraced.relative_cost
     return {
         "paths.top_l.self_s": (self_s("paths.top_l"), "s"),
         "paths.dijkstra.self_s": (self_s("paths.dijkstra"), "s"),
@@ -120,8 +122,11 @@ def per_layer(name: str, untraced, traced) -> Dict[str, Tuple[float, str]]:
         "loadgen.lateness_p99_ms": (
             traced.detail.get("lateness_p99_ms", 0.0), "ms"),
         "op.unattributed_s": ((busy - rec["top_level_s"]) / ops, "s"),
-        "trace.overhead_pct": (100.0 * overhead / untraced.cpu_per_op, "%"),
+        "trace.overhead_pct": (
+            100.0 * overhead / untraced.relative_cost, "%"),
         "gain_mean": (untraced.detail.get("gain_mean", 0.0), "prob"),
+        "cpu.op_ms": (1000 * untraced.cpu_per_op, "ms"),
+        "host.reference_ms": (1000 * untraced.reference_s, "ms"),
         "wall.op_p50_ms": (1000 * statistics.median(untraced.latencies), "ms"),
         "wall.op_tail_ms": (1000 * wall_tail, "ms"),
         "write_p50_ms": (untraced.detail.get("write_p50_ms", 0.0), "ms"),
@@ -223,6 +228,8 @@ def main(argv=None) -> int:
         "metrics": {k: {"value": v, "unit": u} for k, (v, u) in metrics.items()},
         "passes": [
             {"setup_s": p.setup_s, "ops": p.ops, "attempted": p.attempted,
+             "cpu_per_op_s": p.cpu_per_op, "relative_cost": p.relative_cost,
+             "reference_s": p.reference_s,
              "failed": p.failed, "latencies_s": p.latencies,
              "trace": p.trace, "detail": p.detail}
             for p in passes

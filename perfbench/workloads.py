@@ -34,8 +34,12 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 import loadgen
+import reference
 import tracing
 
+#: Op costs are priced against the median reference sample (see
+#: reference.py) over this many seconds around them.
+WINDOW_S = 5.0
 NUM_NODES = 1000
 NUM_EDGES = 3000
 P_LOW, P_HIGH = 0.05, 0.5
@@ -48,8 +52,12 @@ class PassResult:
     setup_s: List[float]
     #: Wall latency of each primary op, in seconds (reads on serve-mixed).
     latencies: List[float]
-    #: CPU seconds the program spent per measured op (see ``cpu_s``).
+    #: CPU seconds the program spent per measured op.
     cpu_per_op: float
+    #: Median op cost in reference computations run alongside it (see
+    #: ``reference.py``), and the reference's median CPU seconds.
+    relative_cost: float
+    reference_s: float
     attempted: int
     failed: int
     #: Ops a replay must repeat to do the same work (see run.py).
@@ -90,18 +98,13 @@ def measure_setup(root: Path, seed: int, setups: int) -> List[float]:
     return elapsed
 
 
-def cpu_s(pid: Optional[int] = None) -> float:
-    """User plus system CPU seconds of a process (this one by default),
-    its threads and the children it has waited for.  Unlike wall time it
-    leaves out the time the host gave the processor to someone else."""
-    if pid is None:
-        own = resource.getrusage(resource.RUSAGE_SELF)
-        kids = resource.getrusage(resource.RUSAGE_CHILDREN)
-        return own.ru_utime + own.ru_stime + kids.ru_utime + kids.ru_stime
-    with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
-        fields = handle.read().rsplit(")", 1)[1].split()
-    # utime, stime, cutime and cstime: fields 14-17 of proc(5).
-    return sum(int(f) for f in fields[11:15]) / os.sysconf("SC_CLK_TCK")
+def own_cpu_s() -> float:
+    """User plus system CPU seconds of this process, its threads and the
+    children it has waited for.  Unlike wall time it leaves out the time
+    the host gave the processor to someone else."""
+    own = resource.getrusage(resource.RUSAGE_SELF)
+    kids = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return own.ru_utime + own.ru_stime + kids.ru_utime + kids.ru_stime
 
 
 def _report_failure(what: str) -> None:
@@ -144,11 +147,8 @@ class MaximizeBE:
         def query(pair: Tuple[int, int]):
             return session.run([MaximizeQuery(*pair, k=self.K, zeta=self.ZETA)])[0]
 
-        # Warm-up off the clock on a pair the timed loop never reaches:
-        # the first query pays the session's lazy set-up.
-        query(self.pairs[-1])
-
         latencies: List[float] = []
+        spans: List[Tuple[float, float, float, int]] = []
         results = []
         failed = 0
 
@@ -160,21 +160,33 @@ class MaximizeBE:
                 _report_failure(f"maximize {pair}")
                 failed += 1
 
-        undo = tracing.install(tracer) if tracer is not None else None
-        start, start_cpu = time.perf_counter(), cpu_s()
+        # The queries and the reference sampler share one processor.
+        affinity = os.sched_getaffinity(0)
+        cpu = reference.measured_cpu()
+        os.sched_setaffinity(0, {cpu})
+        undo = None
         try:
-            for pair in self.pairs:
-                if limit is not None and len(latencies) >= limit:
-                    break
-                if limit is None and time.perf_counter() - start >= seconds:
-                    break
-                began = time.perf_counter()
-                attempt(pair)
-                latencies.append(time.perf_counter() - began)
+            with reference.Sampler(cpu) as sampler:
+                # Warm-up off the clock on a pair the timed loop never
+                # reaches: the first query pays the session's lazy set-up.
+                query(self.pairs[-1])
+                undo = tracing.install(tracer) if tracer is not None else None
+                start = time.perf_counter()
+                for pair in self.pairs:
+                    if limit is not None and len(latencies) >= limit:
+                        break
+                    if limit is None and time.perf_counter() - start >= seconds:
+                        break
+                    began, began_cpu = time.perf_counter(), own_cpu_s()
+                    attempt(pair)
+                    ended = time.perf_counter()
+                    latencies.append(ended - began)
+                    spans.append((began, ended, own_cpu_s() - began_cpu, 1))
+                samples = sampler.stop()
         finally:
-            busy_cpu = cpu_s() - start_cpu
             if undo is not None:
                 undo()
+            os.sched_setaffinity(0, affinity)
         measured = len(latencies)
         attempted = measured
 
@@ -205,10 +217,14 @@ class MaximizeBE:
             )
             failed += not ok
         detail["queries"] = measured
+        detail["relative_costs"] = reference.relative_costs(
+            samples, spans, min(WINDOW_S, seconds / 5))
         return PassResult(
             setup_s=setup_s,
             latencies=latencies,
-            cpu_per_op=busy_cpu / measured if measured else 0.0,
+            cpu_per_op=sum(s[2] for s in spans) / measured,
+            relative_cost=statistics.median(detail["relative_costs"]),
+            reference_s=statistics.median(s[2] for s in samples),
             attempted=max(attempted, 1),
             failed=failed,
             ops=measured,
@@ -311,10 +327,13 @@ class ServeMixed:
             launcher = Path(__file__).with_name("serve_launcher.py")
             command = [sys.executable, str(launcher), str(spans), *serve_args]
         env = dict(os.environ, PYTHONPATH=str(self.root / "src"))
+        cpu = reference.measured_cpu()
         start = time.perf_counter()
         process = subprocess.Popen(
             command, cwd=self.root, env=env, stdout=subprocess.PIPE,
             stdin=subprocess.DEVNULL, text=True,
+            # The server and the reference sampler share one processor.
+            preexec_fn=lambda: os.sched_setaffinity(0, {cpu}),
         )
         try:
             port = None
@@ -353,17 +372,26 @@ class ServeMixed:
                 if index < setups - 1:
                     _stop(processes.pop())
             server = processes[-1]
+            # The load generator keeps off the server's processor, when
+            # there is another; its threads inherit this thread's mask.
+            affinity = os.sched_getaffinity(0)
+            cpu = reference.measured_cpu()
+            os.sched_setaffinity(0, affinity - {cpu} or affinity)
             conns = [loadgen.Connection(port) for _ in range(self.CONNECTIONS)]
             try:
-                warm = loadgen.closed_loop(conns, self.warmup)
-                health_before = conns[0].send("GET", "/healthz")[1]
-                trace_before = _snapshot(server, spans) if spans else None
-                start_cpu = cpu_s(server.pid)
-                count = (int(self.RATE * seconds) if limit is None
-                         else limit)
-                load = loadgen.open_loop(conns, self.requests, 0, count,
-                                         self.RATE)
-                busy_cpu = cpu_s(server.pid) - start_cpu
+                with reference.Sampler(cpu, server.pid) as sampler:
+                    warm = loadgen.closed_loop(conns, self.warmup)
+                    health_before = conns[0].send("GET", "/healthz")[1]
+                    trace_before = (_snapshot(server, spans) if spans
+                                    else None)
+                    count = (int(self.RATE * seconds) if limit is None
+                             else limit)
+                    began = time.perf_counter()
+                    load = loadgen.open_loop(conns, self.requests, 0, count,
+                                             self.RATE)
+                    ended = time.perf_counter()
+                    samples = [s for s in sampler.stop()
+                               if began <= s[0] and s[1] <= ended]
                 trace_after = _snapshot(server, spans) if spans else None
                 health_after = conns[0].send("GET", "/healthz")[1]
                 probed = [conns[0].send("POST", "/reliability", body)
@@ -371,6 +399,7 @@ class ServeMixed:
             finally:
                 for conn in conns:
                     conn.close()
+                os.sched_setaffinity(0, affinity)
             _stop(processes.pop())
         finally:
             for process in processes:
@@ -426,13 +455,19 @@ class ServeMixed:
                 p["dropped_states"] for p in patches) if patches else 0.0,
             "service_s": sum(r.done - r.sent for r in load),
         }
+        width = min(WINDOW_S, seconds / 5)
+        windows = reference.windows(samples, [r.done for r in load], width)
+        detail["relative_costs"] = reference.relative_costs(samples, windows,
+                                                            width)
         recorded = None
         if tracer is not None:
             recorded = tracing.diff(trace_after, trace_before)
         return PassResult(
             setup_s=setup_s,
             latencies=[r.latency for r in reads],
-            cpu_per_op=busy_cpu / len(load),
+            cpu_per_op=sum(w[2] for w in windows) / sum(w[3] for w in windows),
+            relative_cost=statistics.median(detail["relative_costs"]),
+            reference_s=statistics.median(s[2] for s in samples),
             attempted=len(load) + len(warm) + len(probed),
             failed=failed,
             ops=len(load),
