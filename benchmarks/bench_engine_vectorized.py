@@ -1,6 +1,7 @@
-"""Benchmark: vectorized sampling engine vs the legacy scalar Monte Carlo.
+"""Benchmark: vectorized sampling engine vs the scalar reference Monte Carlo.
 
-Times ``MonteCarloEstimator`` in both modes on synthetic uncertain
+Times ``MonteCarloEstimator`` (the batch engine) against the per-sample
+scalar BFS of :mod:`repro.reliability.reference` on synthetic uncertain
 graphs — single-pair ``reliability`` at Z=1000 on a 1k-node graph (the
 acceptance gate: the engine must be >= 5x faster) and the batched
 ``reliability_many`` amortization on a pair workload.
@@ -24,6 +25,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro.graph import assign_uniform, erdos_renyi  # noqa: E402
 from repro.reliability import MonteCarloEstimator  # noqa: E402
+from repro.reliability.reference import ScalarMonteCarlo  # noqa: E402
 
 
 def build_graph(num_nodes: int, num_edges: int, seed: int = 0):
@@ -66,8 +68,8 @@ def run(smoke: bool, json_path: str | None = None) -> int:
         f"Z={z} queries={len(pairs)}"
     )
 
-    scalar = MonteCarloEstimator(z, seed=1, vectorized=False)
-    vectorized = MonteCarloEstimator(z, seed=1, vectorized=True)
+    scalar = ScalarMonteCarlo(z, seed=1)
+    vectorized = MonteCarloEstimator(z, seed=1)
 
     # Warm-up compiles the CSR cache so the timed loop measures the
     # steady state selection loops actually run in.
@@ -93,12 +95,8 @@ def run(smoke: bool, json_path: str | None = None) -> int:
 
     # Statistical agreement between the two paths on one query.
     s, t = pairs[0]
-    a = MonteCarloEstimator(max(z, 2000), seed=3, vectorized=True).reliability(
-        graph, s, t
-    )
-    b = MonteCarloEstimator(max(z, 2000), seed=4, vectorized=False).reliability(
-        graph, s, t
-    )
+    a = MonteCarloEstimator(max(z, 2000), seed=3).reliability(graph, s, t)
+    b = ScalarMonteCarlo(max(z, 2000), seed=4).reliability(graph, s, t)
     print(f"parity check R({s},{t}): vectorized={a:.4f} scalar={b:.4f}")
     if json_path:
         report = {

@@ -17,9 +17,6 @@ Quickstart
 >>> round(session.reliability(0, target=3, samples=4000).value, 1)
 0.3
 
-(The legacy ``ReliabilityMaximizer`` facade still works as a thin shim
-over a per-call session.)
-
 Subpackages
 -----------
 ``repro.api``
@@ -57,19 +54,23 @@ from .reliability import (
 )
 from .paths import most_reliable_path, top_l_most_reliable_paths
 from .core import (
-    METHODS,
     MultiSolution,
     MultiSourceTargetMaximizer,
-    ReliabilityMaximizer,
-    Solution,
     improve_most_reliable_path,
 )
 from .influence import influence_spread, maximize_targeted_influence
 from .reliability import make_estimator
-from .api import MaximizeQuery, ReliabilityQuery, Session, Workload
+from .api import (
+    METHODS,
+    MaximizeQuery,
+    ReliabilityQuery,
+    Session,
+    Solution,
+    Workload,
+)
 from . import api, baselines, datasets, experiments, graph, influence, paths, queries, reliability
 
-__version__ = "1.0.0"
+__version__ = "0.8.0"
 
 __all__ = [
     "UncertainGraph",
@@ -84,7 +85,6 @@ __all__ = [
     "METHODS",
     "MultiSolution",
     "MultiSourceTargetMaximizer",
-    "ReliabilityMaximizer",
     "Solution",
     "improve_most_reliable_path",
     "influence_spread",

@@ -18,22 +18,20 @@ All queries in the workload were answered inside the *same* 2000 sampled
 worlds: one CSR compilation, one coin-flip pass, one batch BFS per
 distinct source.  Results carry provenance — estimator, Z, seed,
 engine/scalar backend, shared-world flag, timings.
-
-The legacy entry points (:class:`repro.core.facade.ReliabilityMaximizer`
-and friends) remain as thin shims over this layer.
 """
 
 from .delta import DeltaReport, GraphDelta
-from .queries import MaximizeQuery, Query, ReliabilityQuery, Workload
+from .queries import METHODS, MaximizeQuery, Query, ReliabilityQuery, Workload
 from .results import (
     MaximizeResult,
     Provenance,
     ReliabilityResult,
+    Solution,
     Timings,
     results_table,
 )
 from .session import Session
-from .maximize import METHODS, dispatch_selection, execute_maximize
+from .maximize import dispatch_selection, execute_maximize
 
 __all__ = [
     "DeltaReport",
@@ -45,6 +43,7 @@ __all__ = [
     "MaximizeResult",
     "Provenance",
     "ReliabilityResult",
+    "Solution",
     "Timings",
     "results_table",
     "Session",

@@ -16,8 +16,10 @@ from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 from .queries import MaximizeQuery, Pair, ReliabilityQuery
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.facade import Solution
     from ..experiments.harness import ResultTable
+
+#: A selected edge ``(u, v, probability)``.
+ProbEdge = Tuple[int, int, float]
 
 
 @dataclass
@@ -52,7 +54,8 @@ class Provenance:
     seed : int
         The seed actually used (query override or session default).
     backend : str
-        ``"engine"`` (vectorized batch kernel) or ``"scalar"``.
+        ``"engine"`` when the estimator runs on the batch engine (it
+        reports a selection backend), else ``"scalar"``.
     shared_worlds : bool
         Whether the answer came out of a world batch shared with other
         queries (session cache hit, or a multi-member workload group —
@@ -86,7 +89,7 @@ class Provenance:
     estimator: str
     samples: int
     seed: int
-    backend: str  # "engine" (vectorized) or "scalar"
+    backend: str  # "engine" or "scalar"
     shared_worlds: bool = False
     timings: Timings = field(default_factory=Timings)
     world_source: "str | None" = None
@@ -149,21 +152,53 @@ class ReliabilityResult:
 
 
 @dataclass
+class Solution:
+    """Result of one budgeted reliability-maximization run.
+
+    Examples
+    --------
+    >>> s = Solution(method="be", edges=[(0, 3, 0.5)],
+    ...              base_reliability=0.2, new_reliability=0.5,
+    ...              elimination_seconds=1.0, selection_seconds=2.0)
+    >>> round(s.gain, 2), s.total_seconds
+    (0.3, 3.0)
+    """
+
+    method: str
+    edges: List[ProbEdge]
+    base_reliability: float
+    new_reliability: float
+    elimination_seconds: float = 0.0
+    selection_seconds: float = 0.0
+    num_candidates: int = 0
+
+    @property
+    def gain(self) -> float:
+        """Reliability gain achieved by the selected edges."""
+        return self.new_reliability - self.base_reliability
+
+    @property
+    def total_seconds(self) -> float:
+        """End-to-end time: elimination plus selection."""
+        return self.elimination_seconds + self.selection_seconds
+
+
+@dataclass
 class MaximizeResult:
     """Answer to one :class:`MaximizeQuery`.
 
-    Wraps the legacy :class:`~repro.core.facade.Solution` (kept as the
-    stable value object the selection machinery produces) and adds the
-    session-level provenance of the sampler that drove selection.
+    Wraps the :class:`Solution` value object the selection machinery
+    produces and adds the session-level provenance of the sampler that
+    drove selection.
     """
 
     query: MaximizeQuery
-    solution: "Solution"
+    solution: Solution
     provenance: Provenance
 
     # Convenience pass-throughs so renderers only need the result.
     @property
-    def edges(self) -> List[Tuple[int, int, float]]:
+    def edges(self) -> List[ProbEdge]:
         """The selected ``(u, v, p)`` edges (at most ``query.k``)."""
         return self.solution.edges
 

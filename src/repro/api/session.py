@@ -12,18 +12,16 @@ that graph wants to share:
   pays one coin-flip pass instead of N;
 * a **seeded RNG discipline** — a batch for ``(Z, seed)`` is always the
   worlds a fresh engine with that seed would sample, so session-batched
-  results are bit-for-bit identical to one-off vectorized calls.
+  results are bit-for-bit identical to one-off estimator calls.
 
 Mutating the graph bumps ``UncertainGraph.version``; the session notices
 on the next query and evicts both the plan reference and every cached
 world batch, so results never reflect a stale graph.
 
-The session is also the facade for reliability *maximization*: it owns
-the solver configuration (``r``, ``l``, ``h``, selection estimator,
+The session is also the entry point for reliability *maximization*: it
+owns the solver configuration (``r``, ``l``, ``h``, selection estimator,
 paired evaluation sampler) and executes :class:`MaximizeQuery` objects
-via :mod:`repro.api.maximize`.  The legacy
-:class:`~repro.core.facade.ReliabilityMaximizer` is a thin shim over a
-per-call session.
+via :mod:`repro.api.maximize`.
 """
 
 from __future__ import annotations
@@ -42,24 +40,11 @@ from typing import (
     cast,
 )
 
-from ..analysis import sanitize
-from ..graph import UncertainGraph
+import numpy as np
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..engine import QueryPlan, WorldBatch
-    from ..index import IndexStore
-    from ..index.breaker import CircuitBreaker
-from ..faults import FaultError, fault_point
-from ..reliability import (
-    ReliabilityEstimator,
-    estimator_spec,
-    make_estimator,
-    resolve_selection_backend,
-)
-from ._engine import (
-    HAVE_ENGINE as _HAVE_ENGINE,
+from ..analysis import sanitize
+from ..engine import (
     SelectionGainKernel,
-    StoreError,
     batch_from_words,
     batch_reach_resume,
     batch_to_words,
@@ -67,7 +52,6 @@ from ._engine import (
     compile_plan,
     extract_world_columns,
     extract_worlds,
-    np,
     pair_hit_fractions,
     repair_batch,
     resolve_fuse_max_words,
@@ -75,6 +59,20 @@ from ._engine import (
     scatter_world_columns,
     world_index_of,
 )
+from ..faults import FaultError, fault_point
+from ..graph import UncertainGraph
+from ..index.store import StoreError
+from ..reliability import (
+    ReliabilityEstimator,
+    estimator_spec,
+    make_estimator,
+    resolve_selection_backend,
+)
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..engine import QueryPlan, WorldBatch
+    from ..index import IndexStore
+    from ..index.breaker import CircuitBreaker
 from .delta import DeltaReport, GraphDelta
 from .queries import MaximizeQuery, Pair, Query, ReliabilityQuery, Workload
 from .results import (
@@ -89,7 +87,7 @@ Result = Union[ReliabilityResult, MaximizeResult]
 #: Overlay edge: ``(u, v, probability)``.
 ProbEdge = Tuple[int, int, float]
 
-#: Paired-evaluation defaults shared with the legacy facade.
+#: Paired-evaluation defaults.
 DEFAULT_EVALUATION_SAMPLES = 1000
 DEFAULT_EVALUATION_SEED = 9_999
 
@@ -201,11 +199,6 @@ class Session:
             raise ValueError(
                 "max_cached_reach must be >= 0 (0 disables reach caching)"
             )
-        if store is not None and not _HAVE_ENGINE:
-            raise RuntimeError(
-                "a persistent index store requires the vectorized engine "
-                "(numpy)"
-            )
         self.graph = graph
         self.seed = seed
         self.store = store
@@ -219,11 +212,10 @@ class Session:
                 from ..index.breaker import CircuitBreaker
                 store_breaker = CircuitBreaker()
             self.store_breaker = store_breaker
-        if _HAVE_ENGINE:
-            # Validate eagerly (like max_cached_batches) so a bad knob
-            # fails at construction, not at the first grouped query;
-            # None is kept as-is to track the engine default.
-            resolve_fuse_max_words(fuse_max_words)
+        # Validate eagerly (like max_cached_batches) so a bad knob fails
+        # at construction, not at the first grouped query; None is kept
+        # as-is to track the engine default.
+        resolve_fuse_max_words(fuse_max_words)
         self.fuse_max_words = fuse_max_words
         self.selection_samples = selection_samples
         self.evaluation_samples = evaluation_samples
@@ -262,11 +254,6 @@ class Session:
     # ------------------------------------------------------------------
     # cache management
     # ------------------------------------------------------------------
-    @property
-    def engine_enabled(self) -> bool:
-        """Whether the vectorized engine backs this session."""
-        return _HAVE_ENGINE
-
     def invalidate(self) -> None:
         """Drop the compiled plan and every cached world batch.
 
@@ -383,8 +370,6 @@ class Session:
         ``compile_seconds`` is 0.0 on a cache hit — only the query that
         first touches a graph version pays the compilation.
         """
-        if not _HAVE_ENGINE:
-            raise RuntimeError("the vectorized engine requires numpy")
         self._affinity.check("Session.plan")
         self._sync_version()
         if self._plan is not None:
@@ -525,7 +510,7 @@ class Session:
         persist back under the graph's new content hash.
 
         Falls back to plain eviction when there is nothing worth
-        repairing (no engine, no cached batches) or when the
+        repairing (no cached batches) or when the
         ``session.delta.apply`` fault seam fires — degradation changes
         cost, never answers.  Either way, post-delta results are
         bit-for-bit what a cold session on the edited graph computes
@@ -538,7 +523,7 @@ class Session:
         old_worlds = dict(self._worlds)
         old_reach = {key: dict(states) for key, states in self._reach.items()}
         delta.apply_to(self.graph)  # validates first; all-or-nothing
-        if _HAVE_ENGINE and old_plan is not None and old_worlds:
+        if old_plan is not None and old_worlds:
             try:
                 fault_point("session.delta.apply", FaultError)
                 return self._repair_after_delta(
@@ -565,7 +550,7 @@ class Session:
         old_reach: Dict[Tuple[int, int], Dict[int, "np.ndarray"]],
         start: float,
     ) -> DeltaReport:
-        """Repair strategy of :meth:`apply_delta` (engine + caches live)."""
+        """Repair strategy of :meth:`apply_delta` (caches live)."""
         new_plan = compile_plan(self.graph)
         self._version = self.graph.version
         self._plan = new_plan
@@ -724,7 +709,7 @@ class Session:
 
         Returns a :class:`~repro.engine.selection.SelectionGainKernel`
         when ``estimator`` advertises a shared-world selection backend
-        (every vectorized registry estimator does), built on the
+        (every registry estimator does), built on the
         session's compiled plan — and, for the plain-batch backends
         (``mc``/``lazy``), on the session's cached ``(Z, seed)`` world
         batch, so consecutive maximize queries with the same sampler
@@ -732,11 +717,9 @@ class Session:
         with a query-conditioned base batch (per-stratum ``rss``,
         per-block ``adaptive``) reuse the cached plan and build their
         batch per query through the backend's ``make_batch`` factory.
-        ``None`` when the estimator does not qualify (scalar paths) or
-        numpy is absent; selection loops then run per-candidate.
+        ``None`` when the estimator has no backend; selection loops then
+        run per-candidate.
         """
-        if not _HAVE_ENGINE:
-            return None
         backend = resolve_selection_backend(estimator)
         if backend is None:
             return None
@@ -793,7 +776,7 @@ class Session:
 
         for (name, samples, seed), members in groups.items():
             spec = estimator_spec(name)
-            if _HAVE_ENGINE and spec.shares_worlds:
+            if spec.shares_worlds:
                 self._run_shared(name, samples, seed, members, results)
             else:
                 if not spec.fixed_samples and len(members) > 1:
@@ -941,7 +924,8 @@ class Session:
         for index, query in members:
             estimator = make_estimator(name, samples, seed=seed)
             backend = (
-                "engine" if getattr(estimator, "vectorized", False) else "scalar"
+                "scalar" if resolve_selection_backend(estimator) is None
+                else "engine"
             )
             start = time.perf_counter()
             values = tuple(
@@ -1009,8 +993,8 @@ class Session:
         shared evaluation batch; with candidate ``extra_edges`` a fresh
         paired estimator runs over the merged plan.  Both produce the
         exact values a standalone ``MonteCarloEstimator`` with the same
-        ``(Z, seed)`` would, so gains stay comparable across methods,
-        sessions and the legacy facade.
+        ``(Z, seed)`` would, so gains stay comparable across methods and
+        sessions.
         """
         self._affinity.check("Session.evaluate_pairs")
         samples = samples if samples is not None else self.evaluation_samples
@@ -1018,9 +1002,9 @@ class Session:
         pairs = list(pairs)
         if not pairs:
             return []
-        if _HAVE_ENGINE and not extra_edges:
+        if not extra_edges:
             # pair_hit_fractions implements the same unknown-endpoint /
-            # s==t semantics as the scalar estimators, so every
+            # s==t semantics as the estimators, so every
             # overlay-free evaluation reuses the session's cached batch.
             # Overlay-free evaluations share the "mc" result-cache
             # namespace with mc reliability queries: both are the same

@@ -8,8 +8,8 @@ early rounds see many zero-gain candidates and pick arbitrarily.
 
 This is the strongest-quality baseline in the paper's tables and also —
 on the per-candidate path — the slowest:
-``O(k * |candidates| * Z * (n + m))``.  Every vectorized registry
-estimator routes through the selection-gain kernel
+``O(k * |candidates| * Z * (n + m))``.  Every registry estimator
+routes through the selection-gain kernel
 (:mod:`repro.engine.selection`): the first round costs two batch-BFS
 sweeps plus ``O(Z/64)`` words per candidate, later rounds *resume* the
 sweeps incrementally from each committed winner's endpoints, and the
@@ -17,13 +17,14 @@ base batch candidates are scored against follows the estimator's
 sampling scheme (plain shared worlds for ``mc``/``lazy``, per-stratum
 for ``rss``, per-block for ``adaptive``).
 
-Both paths break ties by the lowest candidate index (the scalar scan
-keeps the first maximum; the kernel's argmax does the same).
+Both paths break ties by the lowest candidate index (the
+per-candidate scan keeps the first maximum; the kernel's argmax does
+the same).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from ..graph import UncertainGraph
 from ..reliability import ReliabilityEstimator
@@ -38,19 +39,17 @@ def hill_climbing(
     candidates: Sequence[Edge],
     new_edge_prob: NewEdgeProbability,
     estimator: ReliabilityEstimator,
-    vectorized: Optional[bool] = None,
     kernel=None,
 ) -> List[ProbEdge]:
     """Greedy marginal-gain selection of ``k`` edges (Algorithm 1).
 
+    The batched gain kernel runs whenever ``estimator`` reports a
+    selection backend (see
+    :meth:`~repro.reliability.estimator.ReliabilityEstimator.selection_backend`);
+    otherwise the per-candidate estimator loop does.
+
     Parameters
     ----------
-    vectorized:
-        ``None`` (default) auto-selects the batched gain kernel when
-        ``estimator`` qualifies (see
-        :meth:`~repro.reliability.estimator.ReliabilityEstimator.selection_backend`);
-        ``False`` forces the per-candidate estimator loop; ``True``
-        requires the kernel and raises if the estimator cannot back it.
     kernel:
         Pre-built :class:`~repro.engine.selection.SelectionGainKernel`
         (e.g. a session's, sharing its cached plan and world batch).
@@ -61,7 +60,7 @@ def hill_climbing(
     remaining: List[ProbEdge] = [
         (u, v, new_edge_prob(u, v)) for u, v in candidates
     ]
-    gain_kernel = selection_kernel_for(graph, estimator, vectorized, kernel)
+    gain_kernel = selection_kernel_for(graph, estimator, kernel)
     if gain_kernel is not None:
         return gain_kernel.greedy_select(source, target, k, remaining)
     while len(selected) < k and remaining:

@@ -9,13 +9,14 @@ promises.
 
 Statistical contract: every method is an unbiased possible-world Monte
 Carlo estimate with one coin per canonical edge per world, identical in
-distribution to the legacy per-sample scalar BFS.  The *stream* differs
-(each batch draws a uint64 base from the engine's PCG64 generator and
-expands it through identity-keyed SplitMix64 counters — see
-:func:`repro.engine.kernel.sample_worlds` — instead of the scalar
-path's lazy ``random.Random`` coins), so estimates with the same seed
-are deterministic per implementation but not bit-for-bit equal to the
-scalar path.
+distribution to the per-sample scalar BFS of
+:mod:`repro.reliability.reference`.  The *stream* differs (each batch
+draws a uint64 base from the engine's PCG64 generator and expands it
+through identity-keyed SplitMix64 counters — see
+:func:`repro.engine.kernel.sample_worlds` — instead of the reference's
+lazy ``random.Random`` coins), so estimates with the same seed are
+deterministic per implementation but not bit-for-bit equal to the
+reference.
 """
 
 from __future__ import annotations
@@ -192,10 +193,10 @@ class VectorizedSamplingEngine:
     Parameters
     ----------
     seed:
-        Seed for the engine's PCG64 generator.  Like the scalar
-        estimators, the generator is stateful: repeated calls advance
-        the stream, and two engines built with the same seed replay the
-        same estimates for the same query sequence.
+        Seed for the engine's PCG64 generator.  The generator is
+        stateful: repeated calls advance the stream, and two engines
+        built with the same seed replay the same estimates for the same
+        query sequence.
     fuse_max_words:
         Multi-source fusion threshold for pair workloads — fuse while
         the batch row is at most this many words (``None`` -> the
@@ -328,8 +329,7 @@ class VectorizedSamplingEngine:
         """Per-node frequency of being reached from *any* source.
 
         All sources are seeded into one reached-bitmask, so each world
-        is shared across sources by construction (the scalar path needed
-        an explicit coin cache for the same guarantee).
+        is shared across sources by construction.
         """
         valid_sources = [s for s in sources if s in graph]
         if not valid_sources:

@@ -159,7 +159,7 @@ class ReliabilityEstimator(ABC):
         """Reliability of many s-t pairs, aligned with ``pairs`` order.
 
         The batched entry point selection and multi-source loops should
-        prefer: vectorized estimators answer every pair against one
+        prefer: engine-backed estimators answer every pair against one
         compiled plan and one shared world batch, amortizing the setup
         cost over thousands of queries.  The default implementation
         delegates to :meth:`pair_reliabilities`.
@@ -182,8 +182,8 @@ class ReliabilityEstimator(ABC):
         stratified sampling, per-block for adaptive MC.  The gain
         identity is exact per world regardless of how the worlds were
         sampled, so every backend gets the same ``O(Z/64)``-words-per-
-        candidate rounds.  ``None`` (the default, and all scalar paths)
-        sends selection loops to per-candidate estimation.
+        candidate rounds.  ``None`` (the default) sends selection loops
+        to per-candidate estimation.
         """
         return None
 

@@ -9,7 +9,6 @@ from repro.api import (
     Workload,
     results_table,
 )
-from repro.core import ReliabilityMaximizer
 from repro.graph import assign_uniform, erdos_renyi
 from repro.reliability import (
     MonteCarloEstimator,
@@ -89,10 +88,10 @@ class TestSessionParity:
 
     def test_shared_batch_is_engine_deterministic(self, graph):
         # The shared world batch for (Z, seed) must be the batch a fresh
-        # vectorized estimator with that seed would sample.
+        # estimator with that seed would sample.
         session = Session(graph, seed=5)
         a = session.reliability(0, target=30, samples=512, seed=21)
-        solo = MonteCarloEstimator(512, seed=21, vectorized=True)
+        solo = MonteCarloEstimator(512, seed=21)
         assert a.value == solo.reliability(graph, 0, 30)
 
     def test_multi_target_consistent_with_single(self, graph):
@@ -222,18 +221,19 @@ class TestCacheInvalidation:
 
 
 class TestMaximizeThroughSession:
-    def test_matches_legacy_facade(self, graph):
+    def test_default_estimator_matches_explicit_instance(self, graph):
+        # The session's default selection sampler is the registry's
+        # rss at selection_samples; passing that instance explicitly
+        # must select the same edges in the same paired worlds.
         query = MaximizeQuery(0, 30, k=2, zeta=0.6, method="be")
-        session = Session(graph, seed=3, r=10, l=10)
-        result = session.maximize(query)
-        solver = ReliabilityMaximizer(
-            estimator=make_estimator("rss", 250, seed=3), r=10, l=10, seed=3
-        )
-        legacy = solver.maximize(graph, 0, 30, k=2, zeta=0.6, method="be")
-        assert {(u, v) for u, v, _ in result.edges} == {
-            (u, v) for u, v, _ in legacy.edges
-        }
-        assert result.base_reliability == legacy.base_reliability
+        result = Session(graph, seed=3, r=10, l=10).maximize(query)
+        explicit = Session(
+            graph, seed=3, r=10, l=10,
+            estimator=make_estimator("rss", 250, seed=3),
+        ).maximize(query)
+        assert result.edges == explicit.edges
+        assert result.base_reliability == explicit.base_reliability
+        assert result.new_reliability == explicit.new_reliability
 
     def test_unknown_method(self, graph):
         with pytest.raises(ValueError, match="unknown method"):
@@ -329,6 +329,23 @@ class TestRegistry:
         with pytest.raises(ValueError, match="unknown estimator"):
             make_estimator("definitely-not-registered")
 
+    def test_name_overwriting_an_alias_takes_effect(self, monkeypatch):
+        # Lookups resolve aliases before names, so registering a name
+        # that is also an alias must retire the alias, or the new entry
+        # stays unreachable.
+        import repro.reliability.registry as registry
+
+        monkeypatch.setattr(registry, "_REGISTRY", dict(registry._REGISTRY))
+        monkeypatch.setattr(registry, "_ALIASES", dict(registry._ALIASES))
+        sentinel = object()
+        register_estimator(
+            "monte-carlo", lambda samples, seed, **kw: sentinel,
+            overwrite=True,
+        )
+        assert make_estimator("monte-carlo") is sentinel
+        assert estimator_spec("monte-carlo").name == "monte-carlo"
+        assert estimator_spec("montecarlo").name == "mc"  # other aliases stay
+
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
             register_estimator("mc", lambda samples, seed, **kw: None)
@@ -364,8 +381,6 @@ class TestRegistry:
 
     def test_custom_estimator_usable_in_session(self, graph):
         class ConstantEstimator:
-            vectorized = False
-
             def __init__(self, value):
                 self.value = value
 
@@ -375,7 +390,6 @@ class TestRegistry:
         register_estimator(
             "constant-test",
             lambda samples, seed, **kw: ConstantEstimator(0.25),
-            supports_vectorized=False,
             overwrite=True,
         )
         result = Session(graph).reliability(
@@ -385,52 +399,24 @@ class TestRegistry:
         assert result.provenance.backend == "scalar"
 
 
-class TestVectorizedFlags:
-    """Every registry entry honors vectorized= (ROADMAP open item)."""
-
-    @pytest.mark.parametrize("name", ["mc", "rss", "lazy", "adaptive"])
-    def test_flag_accepted_and_recorded(self, name):
-        est = make_estimator(name, 64, vectorized=True)
-        assert est.vectorized is True
-        est = make_estimator(name, 64, vectorized=False)
-        assert est.vectorized is False
-
-    def test_lazy_vectorized_statistical_parity(self, graph):
-        fast = make_estimator("lazy", 4000, seed=1, vectorized=True)
-        slow = make_estimator("lazy", 4000, seed=2, vectorized=False)
-        a = fast.reliability(graph, 0, 20)
-        b = slow.reliability(graph, 0, 20)
-        assert a == pytest.approx(b, abs=0.06)
-
-    def test_adaptive_vectorized_statistical_parity(self, graph):
-        fast = make_estimator(
-            "adaptive", 20000, seed=1, vectorized=True,
-            target_half_width=0.02,
-        )
-        slow = make_estimator(
-            "adaptive", 20000, seed=2, vectorized=False,
-            target_half_width=0.02,
-        )
-        a = fast.estimate(graph, 0, 20)
-        b = slow.estimate(graph, 0, 20)
-        assert a.value == pytest.approx(b.value, abs=0.06)
-        assert a.half_width <= 0.02 + 1e-9
-        assert b.half_width <= 0.02 + 1e-9
-
-    def test_adaptive_vectorized_respects_cap(self, graph):
+class TestAdaptiveEstimator:
+    def test_adaptive_meets_target_half_width(self, graph):
         est = make_estimator(
-            "adaptive", 600, vectorized=True, target_half_width=0.0001,
-            block_size=250,
+            "adaptive", 20000, seed=1, target_half_width=0.02,
+        )
+        assert est.estimate(graph, 0, 20).half_width <= 0.02 + 1e-9
+
+    def test_adaptive_respects_cap(self, graph):
+        est = make_estimator(
+            "adaptive", 600, target_half_width=0.0001, block_size=250,
         )
         result = est.estimate(graph, 0, 20)
         assert result.samples_used == 600
 
-    def test_adaptive_vectorized_overlay(self, graph):
-        est = make_estimator(
-            "adaptive", 5000, vectorized=True, target_half_width=0.02
-        )
+    def test_adaptive_overlay(self, graph):
+        est = make_estimator("adaptive", 5000, target_half_width=0.02)
         plain = est.estimate(graph, 0, 20)
         boosted = make_estimator(
-            "adaptive", 5000, vectorized=True, target_half_width=0.02
+            "adaptive", 5000, target_half_width=0.02
         ).estimate(graph, 0, 20, [(0, 20, 0.95)])
         assert boosted.value > plain.value

@@ -2,13 +2,7 @@
 
 import pytest
 
-# Explicit, reasoned skip instead of silently passing on a numpy-less
-# interpreter: every engine-backed case below names why it was skipped.
-np = pytest.importorskip(
-    "numpy",
-    reason="engine coverage cases need the vectorized engine (numpy)",
-)
-
+from repro.api import MaximizeQuery, Session
 from repro.datasets import intel_lab
 from repro.graph import (
     UncertainGraph,
@@ -23,7 +17,7 @@ from repro.reliability import (
 )
 from repro.core import (
     MultiSourceTargetMaximizer,
-    ReliabilityMaximizer,
+    eliminate_search_space,
     improve_mrp_with_probability_budget,
 )
 from repro.experiments import measure
@@ -120,17 +114,18 @@ class TestK1Installments:
         assert solution.gain > 0.2
 
 
-class TestFacadeDeterminism:
+class TestSessionDeterminism:
     def test_same_seed_same_solution(self):
         g = path_graph(7)
         assign_fixed(g, 0.5)
 
         def run():
-            solver = ReliabilityMaximizer(
+            session = Session(
+                g, seed=5,
                 estimator=RecursiveStratifiedSampler(150, seed=5),
-                evaluation_samples=300, r=5, l=8, seed=5,
+                evaluation_samples=300, r=5, l=8,
             )
-            return solver.maximize(g, 0, 6, k=2, zeta=0.6)
+            return session.maximize(MaximizeQuery(0, 6, k=2, zeta=0.6))
 
         a, b = run(), run()
         assert [(u, v) for u, v, _ in a.edges] == [
@@ -141,12 +136,12 @@ class TestFacadeDeterminism:
     def test_random_method_seeded(self):
         g = path_graph(7)
         assign_fixed(g, 0.5)
-        solver = ReliabilityMaximizer(
-            estimator=ExactEstimator(), evaluation_samples=200,
-            r=5, l=8, seed=11,
+        session = Session(
+            g, seed=11, estimator=ExactEstimator(), evaluation_samples=200,
+            r=5, l=8,
         )
-        a = solver.maximize(g, 0, 6, k=2, method="random")
-        b = solver.maximize(g, 0, 6, k=2, method="random")
+        a = session.maximize(MaximizeQuery(0, 6, k=2, method="random"))
+        b = session.maximize(MaximizeQuery(0, 6, k=2, method="random"))
         assert [(u, v) for u, v, _ in a.edges] == [
             (u, v) for u, v, _ in b.edges
         ]
@@ -157,7 +152,7 @@ class TestReliabilityManyEmptyWorkload:
 
     The empty workload must neither compile a plan nor flip a single
     coin — and certainly not raise — at any of the three entry points
-    (engine, estimator base class, deprecated facade shim).
+    (engine, estimator base class, session paired evaluation).
     """
 
     def _graph(self):
@@ -175,20 +170,23 @@ class TestReliabilityManyEmptyWorkload:
         est = RecursiveStratifiedSampler(100, seed=1)
         assert est.reliability_many(self._graph(), []) == []
 
-    def test_facade_empty_pairs(self):
-        solver = ReliabilityMaximizer(
-            estimator=ExactEstimator(), evaluation_samples=100,
+    def test_session_empty_pairs(self):
+        session = Session(
+            self._graph(), estimator=ExactEstimator(), evaluation_samples=100,
         )
-        assert solver.reliability_many(self._graph(), []) == []
+        assert session.evaluate_pairs([]) == []
 
 
 class TestSolutionReporting:
     def test_num_candidates_tracks_space(self):
         g = path_graph(6)
         assign_fixed(g, 0.5)
-        solver = ReliabilityMaximizer(
-            estimator=ExactEstimator(), evaluation_samples=200, r=3, l=5,
+        session = Session(
+            g, estimator=ExactEstimator(), evaluation_samples=200, r=3, l=5,
         )
-        solution = solver.maximize(g, 0, 5, k=1, zeta=0.5)
-        space = solver.candidates(g, 0, 5, fixed_new_edge_probability(0.5))
-        assert solution.num_candidates == len(space.edges)
+        solution = session.maximize(MaximizeQuery(0, 5, k=1, zeta=0.5))
+        space = eliminate_search_space(
+            g, 0, 5, r=3, new_edge_prob=fixed_new_edge_probability(0.5),
+            estimator=ExactEstimator(),
+        )
+        assert solution.solution.num_candidates == len(space.edges)

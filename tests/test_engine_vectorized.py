@@ -1,8 +1,9 @@
-"""Parity tests: the vectorized engine vs the legacy scalar samplers.
+"""Tests for the batch sampling engine and the estimators built on it.
 
-Vectorized and scalar paths consume different PRNG streams, so parity is
-asserted within Monte Carlo tolerance at large Z (and against exact
-values where the fixture graphs permit), never bit-for-bit.
+Kernel primitives, plan compilation and the fused sweeps are pinned
+bit for bit; estimates are checked against exact values within Monte
+Carlo tolerance.  The Hoeffding-bounded accuracy of every sampler lives
+in ``tests/test_estimator_accuracy.py``.
 """
 
 import pytest
@@ -20,7 +21,6 @@ from repro.engine import (
 from repro.graph import UncertainGraph, assign_uniform, erdos_renyi
 from repro.reliability import (
     BFSSharingIndex,
-    MonteCarloEstimator,
     RecursiveStratifiedSampler,
     exact_reliability,
 )
@@ -127,97 +127,29 @@ class TestEngineAgainstExact:
         assert est == pytest.approx(truth, abs=0.03)
 
 
-class TestScalarParity:
-    """Vectorized estimates agree with the legacy scalar path."""
+class TestEstimatorsOnEngine:
+    """Engine-backed estimators against exact values and edge cases."""
 
-    def test_mc_single_pair(self, medium_graph):
-        vec = MonteCarloEstimator(6000, seed=1, vectorized=True)
-        scalar = MonteCarloEstimator(6000, seed=1, vectorized=False)
-        assert vec.reliability(medium_graph, 0, 29) == pytest.approx(
-            scalar.reliability(medium_graph, 0, 29), abs=0.04
+    def test_rss_reachability_against_exact(self, diamond):
+        vec = RecursiveStratifiedSampler(2000, seed=2).reachability_from(
+            diamond, 0
         )
-
-    def test_mc_reachability_vector(self, diamond):
-        vec = MonteCarloEstimator(8000, seed=2).reachability_from(diamond, 0)
-        scalar = MonteCarloEstimator(
-            8000, seed=2, vectorized=False
-        ).reachability_from(diamond, 0)
-        assert set(vec) == set(scalar)
-        for node, value in scalar.items():
-            assert vec[node] == pytest.approx(value, abs=0.04)
-
-    def test_mc_reliability_many(self, medium_graph):
-        pairs = [(0, 10), (0, 20), (5, 25), (7, 7)]
-        vec = MonteCarloEstimator(6000, seed=3).reliability_many(
-            medium_graph, pairs
-        )
-        scalar = MonteCarloEstimator(
-            6000, seed=4, vectorized=False
-        ).reliability_many(medium_graph, pairs)
-        assert len(vec) == len(pairs)
-        assert vec[3] == scalar[3] == 1.0  # s == t
-        for a, b in zip(vec, scalar, strict=True):
-            assert a == pytest.approx(b, abs=0.05)
-
-    def test_mc_multi_source(self, diamond):
-        vec = MonteCarloEstimator(8000, seed=5).multi_source_reachability(
-            diamond, [0, 3]
-        )
-        scalar = MonteCarloEstimator(
-            8000, seed=6, vectorized=False
-        ).multi_source_reachability(diamond, [0, 3])
-        assert vec[0] == vec[3] == 1.0
-        for node, value in scalar.items():
-            assert vec[node] == pytest.approx(value, abs=0.04)
-
-    def test_rss_parity(self, medium_graph):
-        truth = MonteCarloEstimator(20000, seed=99).reliability(
-            medium_graph, 0, 29
-        )
-        vec = RecursiveStratifiedSampler(1000, seed=1, vectorized=True)
-        scalar = RecursiveStratifiedSampler(1000, seed=1, vectorized=False)
-        assert vec.reliability(medium_graph, 0, 29) == pytest.approx(
-            truth, abs=0.05
-        )
-        assert vec.reliability(medium_graph, 0, 29) == pytest.approx(
-            scalar.reliability(medium_graph, 0, 29), abs=0.05
-        )
-
-    def test_rss_reachability_parity(self, diamond):
-        vec = RecursiveStratifiedSampler(
-            2000, seed=2, vectorized=True
-        ).reachability_from(diamond, 0)
         for node in (1, 2, 3):
             truth = exact_reliability(diamond, 0, node)
             assert vec[node] == pytest.approx(truth, abs=0.05)
 
-    def test_bfs_sharing_parity(self, diamond):
-        truth = exact_reliability(diamond, 0, 3)
-        vec = BFSSharingIndex(diamond, num_samples=8000, seed=1)
-        scalar = BFSSharingIndex(
-            diamond, num_samples=8000, seed=1, vectorized=False
-        )
-        assert vec.reliability(diamond, 0, 3) == pytest.approx(truth, abs=0.03)
-        assert vec.reliability(diamond, 0, 3) == pytest.approx(
-            scalar.reliability(diamond, 0, 3), abs=0.04
-        )
-
     def test_bfs_sharing_node_added_after_build(self, diamond):
         # Nodes added after the snapshot are isolated in every stored
-        # world; both paths must degrade gracefully, not crash.
-        vec = BFSSharingIndex(diamond, num_samples=100, seed=3)
-        scalar = BFSSharingIndex(
-            diamond, num_samples=100, seed=3, vectorized=False
-        )
+        # world; the index must degrade gracefully, not crash.
+        index = BFSSharingIndex(diamond, num_samples=100, seed=3)
         diamond.add_node(7)
-        for index in (vec, scalar):
-            assert index.reliability(diamond, 7, 3) == 0.0
-            assert index.reliability(diamond, 0, 7) == 0.0
-            assert index.reachability_from(diamond, 7) == {7: 1.0}
-            assert index.pair_reliabilities(diamond, [(7, 3), (0, 7)]) == {
-                (7, 3): 0.0,
-                (0, 7): 0.0,
-            }
+        assert index.reliability(diamond, 7, 3) == 0.0
+        assert index.reliability(diamond, 0, 7) == 0.0
+        assert index.reachability_from(diamond, 7) == {7: 1.0}
+        assert index.pair_reliabilities(diamond, [(7, 3), (0, 7)]) == {
+            (7, 3): 0.0,
+            (0, 7): 0.0,
+        }
 
     def test_bfs_sharing_overlay_deterministic(self, diamond):
         index = BFSSharingIndex(diamond, num_samples=2000, seed=2)
@@ -227,6 +159,17 @@ class TestScalarParity:
         base = index.reliability(diamond, 0, 3)
         expected = base + (1 - base) * 0.5
         assert first == pytest.approx(expected, abs=0.04)
+
+    def test_session_evaluate_pairs(self, diamond):
+        from repro.api import Session
+
+        values = Session(diamond, evaluation_samples=6000).evaluate_pairs(
+            [(0, 3), (0, 1)]
+        )
+        assert len(values) == 2
+        assert values[0] == pytest.approx(
+            exact_reliability(diamond, 0, 3), abs=0.03
+        )
 
 
 class TestOverlayAndEdgeCases:
@@ -296,24 +239,6 @@ class TestOverlayAndEdgeCases:
         assert with_edge[0] == 1.0  # certain overlay edge closes the pair
         without = engine.reliability_many(diamond, pairs, 8000)
         assert without[0] == pytest.approx(
-            exact_reliability(diamond, 0, 3), abs=0.03
-        )
-
-
-class TestEstimatorFlagPlumbing:
-    def test_vectorized_flag_exposed(self):
-        assert MonteCarloEstimator(10).vectorized is True
-        assert MonteCarloEstimator(10, vectorized=False).vectorized is False
-        assert RecursiveStratifiedSampler(10, vectorized=False).vectorized is False
-
-    def test_facade_reliability_many(self, diamond):
-        from repro.core.facade import ReliabilityMaximizer
-
-        solver = ReliabilityMaximizer(evaluation_samples=6000)
-        pairs = [(0, 3), (0, 1)]
-        values = solver.reliability_many(diamond, pairs)
-        assert len(values) == 2
-        assert values[0] == pytest.approx(
             exact_reliability(diamond, 0, 3), abs=0.03
         )
 

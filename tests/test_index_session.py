@@ -254,10 +254,3 @@ class TestInvalidation:
         stats = session.store_stats()
         assert "error" in stats
         assert stats["counters"]["save_failures"] > 0
-
-    def test_store_requires_engine(self, graph, store, monkeypatch):
-        import repro.api.session as session_module
-
-        monkeypatch.setattr(session_module, "_HAVE_ENGINE", False)
-        with pytest.raises(RuntimeError):
-            Session(graph, seed=9, store=store)

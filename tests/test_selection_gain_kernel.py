@@ -27,8 +27,14 @@ from repro.engine import (
     popcount,
     sample_worlds,
 )
-from repro.reliability import make_estimator
+from repro.reliability import (
+    ExactEstimator,
+    make_estimator,
+    resolve_selection_backend,
+)
 from repro.baselines import hill_climbing, individual_top_k
+
+from fakes import LoopOnly
 
 Z = 192  # deliberately not a multiple of 64: pad bits must stay clean
 SEED = 13
@@ -126,7 +132,8 @@ class TestGainIdentity:
     def test_undirected_orientations_tie_exactly(self):
         """(u, v) and (v, u) are one undirected edge: both orientations
         must draw the same canonical coin row (exact tie -> lowest
-        index), matching the orientation-independent scalar path."""
+        index), matching the orientation-independent per-candidate
+        loop."""
         graph = build_graph(False)
         n = graph.num_nodes
         kernel = SelectionGainKernel(graph, Z, seed=SEED)
@@ -144,10 +151,11 @@ class TestGainIdentity:
         """Two certain chains, candidates [(2, 3), (3, 2)]: one
         undirected edge in two orientations.  The kernel ties exactly
         (canonical coin rows) and must keep the lowest index on *every*
-        seed — the scalar loop's estimates for the two orientations
-        come from an advancing stream, so only the kernel makes this
-        tie deterministic under sampling noise; with certain candidates
-        (p=1.0, exact scalar estimates) both paths must agree."""
+        seed — the per-candidate loop's estimates for the two
+        orientations come from an advancing stream, so only the kernel
+        makes this tie deterministic under sampling noise; with certain
+        candidates (p=1.0, exact loop estimates) both paths must
+        agree."""
         for seed in range(6):
             g = UncertainGraph()
             for u, v in ((0, 1), (1, 2), (3, 4), (4, 5)):
@@ -158,15 +166,15 @@ class TestGainIdentity:
             )
             assert batched == [(2, 3, 0.5)]
             certain = fixed_new_edge_probability(1.0)
-            scalar = hill_climbing(
+            loop = hill_climbing(
                 g, 0, 5, 1, [(2, 3), (3, 2)], certain,
-                make_estimator("mc", 256, seed=seed), vectorized=False,
+                LoopOnly(make_estimator("mc", 256, seed=seed)),
             )
-            vectorized = hill_climbing(
+            kernel = hill_climbing(
                 g, 0, 5, 1, [(2, 3), (3, 2)], certain,
                 make_estimator("mc", 256, seed=seed),
             )
-            assert scalar == vectorized == [(2, 3, 1.0)]
+            assert loop == kernel == [(2, 3, 1.0)]
 
     def test_gains_nonnegative_and_degenerate_queries(self):
         graph = build_graph(False)
@@ -218,7 +226,7 @@ class TestGreedySelectMulti:
             kernel.greedy_select_multi([(0, 1)], 1, [(0, 2, 0.5)], "sum")
 
     def test_duplicate_pairs_collapse_like_scalar_objective(self):
-        """The scalar path's dict-valued objective counts each distinct
+        """The per-candidate loop's dict-valued objective counts each distinct
         pair once; the kernel must match, not weight duplicates."""
         graph = build_graph(False, seed=23)
         n = graph.num_nodes
@@ -235,11 +243,12 @@ class TestGreedySelectMulti:
 
         graph = build_graph(False)
         n = graph.num_nodes
-        for name in ("mc", "rss"):  # kernel path and scalar path
+        # kernel path, then the per-candidate loop
+        for estimator in (make_estimator("mc", 64), ExactEstimator()):
             with pytest.raises(ValueError, match="aggregate"):
                 _multi_hill_climbing(
                     graph, [(0, n - 1)], 1, [(0, 5)],
-                    ZETA, make_estimator(name, 64), "sum",
+                    ZETA, estimator, "sum",
                 )
 
 
@@ -292,10 +301,10 @@ class TestSelectionBackend:
             est = make_estimator(name, 123, seed=5)
             assert est.selection_backend() == (123, 5)
 
-    def test_scalar_samplers_do_not(self):
-        for name in ("mc", "lazy", "rss", "adaptive"):
-            est = make_estimator(name, 100, vectorized=False)
-            assert est.selection_backend() is None, name
+    def test_estimators_off_the_engine_do_not(self):
+        assert resolve_selection_backend(ExactEstimator()) is None
+        loop = LoopOnly(make_estimator("mc", 100))
+        assert resolve_selection_backend(loop) is None
 
     def test_conditioned_samplers_expose_factory_backend(self):
         """rss / adaptive route selection through the gain kernel via a
@@ -310,29 +319,27 @@ class TestSelectionBackend:
         # plain-batch backends carry no factory
         assert make_estimator("mc", 10).selection_backend().make_batch is None
 
-    def test_vectorized_true_requires_backend(self):
-        graph = build_graph(False)
-        est = make_estimator("rss", 50, vectorized=False)
-        with pytest.raises(ValueError, match="selection"):
-            hill_climbing(
-                graph, 0, 1, 1, [(0, 5)], ZETA, est, vectorized=True
-            )
-
-    def test_vectorized_false_forces_per_candidate_loop(self):
-        """Force-scalar runs the estimator loop even for mc estimators
-        (the benchmark's baseline path)."""
+    def test_no_backend_runs_per_candidate_loop(self):
+        """An estimator without a selection backend runs the estimator
+        loop (the benchmark's baseline path) — every call goes through
+        its ``reliability``."""
         graph = UncertainGraph()
         graph.add_edge(0, 1, 0.4)
         graph.add_edge(1, 2, 0.4)
-        est = make_estimator("mc", 400, seed=3)
-        edges = hill_climbing(
-            graph, 0, 2, 1, [(0, 2)], ZETA, est, vectorized=False
-        )
+        calls = []
+
+        class Counting(LoopOnly):
+            def reliability(self, *args, **kwargs):
+                calls.append(args)
+                return super().reliability(*args, **kwargs)
+
+        est = Counting(make_estimator("mc", 400, seed=3))
+        edges = hill_climbing(graph, 0, 2, 1, [(0, 2)], ZETA, est)
         assert [(u, v) for u, v, _ in edges] == [(0, 2)]
-        edges = individual_top_k(
-            graph, 0, 2, 1, [(0, 2)], ZETA, est, vectorized=False
-        )
+        assert len(calls) == 1  # one candidate, one round
+        edges = individual_top_k(graph, 0, 2, 1, [(0, 2)], ZETA, est)
         assert [(u, v) for u, v, _ in edges] == [(0, 2)]
+        assert len(calls) == 3  # base + one candidate
 
 
 class TestEngineKernel:
@@ -372,10 +379,8 @@ class TestSessionKernel:
         assert rss_kernel.plan is session.plan()[0]
         assert rss_kernel.batch is None
         assert rss_kernel.batch_factory is not None
-        # Scalar estimators still have no kernel.
-        assert session.selection_kernel(
-            make_estimator("rss", 96, vectorized=False)
-        ) is None
+        # Estimators without a backend have no kernel.
+        assert session.selection_kernel(ExactEstimator()) is None
 
     def test_session_kernel_selection_matches_fresh_kernel(self):
         from repro.api import Session

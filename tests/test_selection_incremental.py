@@ -16,13 +16,17 @@ Two contracts from the frontier-gated sweep-engine rework:
   and per-block base batches); ``hill_climbing`` / ``individual_top_k``
   auto-route them through the gain kernel, and on fixtures whose greedy
   choices are forced (gains separated far beyond sampling noise) the
-  routed selection equals the scalar per-candidate loop's.
+  routed selection equals the per-candidate loop's.
 """
 
 import numpy as np
 import pytest
 
-from repro.baselines import hill_climbing, individual_top_k
+from repro.baselines import (
+    hill_climbing,
+    individual_top_k,
+    selection_kernel_for,
+)
 from repro.engine import (
     SelectionGainKernel,
     WorldBatch,
@@ -48,6 +52,8 @@ from repro.graph import (
     fixed_new_edge_probability,
 )
 from repro.reliability import make_estimator
+
+from fakes import LoopOnly
 
 Z = 192  # deliberately not a multiple of 64: pad bits must stay clean
 SEED = 13
@@ -227,29 +233,28 @@ def forced_fixtures():
 class TestConditionedBackendRouting:
     @pytest.mark.parametrize("name", ["rss", "adaptive"])
     @pytest.mark.parametrize("method", [hill_climbing, individual_top_k])
-    def test_routed_selection_matches_scalar_loop(self, name, method):
+    def test_routed_selection_matches_per_candidate_loop(self, name, method):
         for label, graph, s, t, k, candidates, probs in forced_fixtures():
             prob_model = lambda u, v, probs=probs: probs[(u, v)]
-            scalar = method(
+            loop = method(
                 graph, s, t, k, candidates, prob_model,
-                make_estimator(name, 400, seed=SEED, vectorized=False),
-                vectorized=False,
+                LoopOnly(make_estimator(name, 400, seed=SEED)),
             )
             routed = method(
                 graph, s, t, k, candidates, prob_model,
                 make_estimator(name, 400, seed=SEED),
             )
-            assert scalar == routed, (label, name)
+            assert loop == routed, (label, name)
 
     @pytest.mark.parametrize("name", ["rss", "adaptive"])
-    def test_vectorized_true_accepts_conditioned_backends(self, name):
+    def test_conditioned_backends_route_through_kernel(self, name):
         graph = UncertainGraph()
         graph.add_edge(0, 1, 1.0)
         graph.add_edge(2, 3, 1.0)
         est = make_estimator(name, 200, seed=3)
-        edges = hill_climbing(
-            graph, 0, 3, 1, [(1, 2)], ZETA, est, vectorized=True
-        )
+        kernel = selection_kernel_for(graph, est)
+        assert kernel is not None and kernel.batch_factory is not None
+        edges = hill_climbing(graph, 0, 3, 1, [(1, 2)], ZETA, est)
         assert [(u, v) for u, v, _ in edges] == [(1, 2)]
 
     def test_rss_stratified_batch_is_conditioned(self):

@@ -12,6 +12,8 @@ from repro.core import (
 )
 from repro.baselines import hill_climbing, individual_top_k
 
+from fakes import LoopOnly
+
 S, T = 0, 99
 
 
@@ -113,8 +115,8 @@ def two_chain_graph():
 class TestGreedyTieBreakParity:
     """The documented tie-break: lowest candidate index on equal gain.
 
-    The scalar greedy keeps the *first* maximum of its scan; the
-    vectorized kernel's argmax (and the top-k stable sort) must match,
+    The per-candidate greedy keeps the *first* maximum of its scan; the
+    gain kernel's argmax (and the top-k stable sort) must match,
     and duplicated candidates must tie exactly on the kernel (they draw
     identical coin rows by construction).
     """
@@ -124,38 +126,33 @@ class TestGreedyTieBreakParity:
     def custom_prob(self, u, v):
         return {(2, 3): 1.0, (0, 5): 0.5, (1, 4): 0.25}[(u, v)]
 
-    def selection_order(self, estimator, **kwargs):
+    def selection_order(self, estimator):
         g = two_chain_graph()
         edges = hill_climbing(
             g, 0, 5, 3, self.CANDIDATES, self.custom_prob, estimator,
-            **kwargs,
         )
         return [(u, v) for u, v, _ in edges]
 
-    def test_scalar_and_vectorized_agree(self):
+    def test_loop_and_kernel_agree(self):
         # Round 1: (2, 3) wins structurally (gain exactly 1.0).  Later
         # rounds: all gains zero -> lowest remaining index, on both
         # paths, independent of sampling noise.
         expected = [(2, 3), (0, 5), (1, 4)]
-        scalar = self.selection_order(
-            make_estimator("mc", 200, seed=1), vectorized=False
-        )
-        vectorized = self.selection_order(make_estimator("mc", 200, seed=1))
+        loop = self.selection_order(LoopOnly(make_estimator("mc", 200, seed=1)))
+        kernel = self.selection_order(make_estimator("mc", 200, seed=1))
         exact = self.selection_order(ExactEstimator())
-        assert scalar == vectorized == exact == expected
+        assert loop == kernel == exact == expected
 
     def test_duplicate_candidates_pick_lowest_index(self):
         g = two_chain_graph()
         zeta = fixed_new_edge_probability(1.0)
         candidates = [(2, 3), (2, 3), (2, 3)]
-        for estimator, kwargs in (
-            (ExactEstimator(), {}),
-            (make_estimator("mc", 128, seed=0), {}),
-            (make_estimator("mc", 128, seed=0), {"vectorized": False}),
+        for estimator in (
+            ExactEstimator(),
+            make_estimator("mc", 128, seed=0),
+            LoopOnly(make_estimator("mc", 128, seed=0)),
         ):
-            edges = hill_climbing(
-                g, 0, 5, 2, candidates, zeta, estimator, **kwargs
-            )
+            edges = hill_climbing(g, 0, 5, 2, candidates, zeta, estimator)
             # All three duplicates tie exactly; rounds pop the lowest
             # index first, so the first two duplicates are selected.
             assert [(u, v) for u, v, _ in edges] == [(2, 3), (2, 3)]

@@ -247,8 +247,6 @@ def test_bad_method_fails_at_submit_not_mid_batch():
 class _ExplodingEstimator(ReliabilityEstimator):
     """Estimator whose execution always fails."""
 
-    vectorized = False
-
     def reliability(self, graph, source, target, extra_edges=None):
         raise RuntimeError("boom")
 
