@@ -2,10 +2,11 @@
 
 Two gates from the sweep-engine rework:
 
-* **Gated multi-source fusion.**  ``batch_reach_multi(gated=True)``
-  gathers only the active ``(arc, source)`` pairs per sweep, so fusing
-  ``S`` sources costs ``max`` (not ``sum``) of the per-source sweep
-  counts without the old full-width byte blowup.  On sweep-bound graphs
+* **Gated multi-source fusion.**  The frontier-gated fused sweep
+  (``repro.engine.kernel._reach_multi_gated``) gathers only the active
+  ``(arc, source)`` pairs per sweep, so fusing ``S`` sources costs
+  ``max`` (not ``sum``) of the per-source sweep counts without the
+  full-width pass's byte blowup.  On sweep-bound graphs
   (high diameter, near-deterministic edges — the paper's road/sensor
   chains) the fused pass must be **>= 3x** faster than per-source
   sweeps at Z=4096 / S=16 on a 1k-node graph; on frontier-dense random
@@ -45,6 +46,10 @@ from repro.engine import (  # noqa: E402
     compile_plan,
     sample_worlds,
 )
+from repro.engine.kernel import (  # noqa: E402
+    _reach_multi_full_width,
+    _reach_multi_gated,
+)
 from repro.graph import UncertainGraph, assign_uniform, erdos_renyi  # noqa: E402
 
 
@@ -79,7 +84,8 @@ def best_of(fn, repeats: int = 3) -> float:
 
 
 def sweep_case(graph, num_samples: int, num_sources: int, repeats: int):
-    """Time per-source vs ungated-fused vs gated-fused; check parity."""
+    """Time per-source vs full-width fused vs gated fused; check parity
+    of both fused passes and the auto-dispatched one."""
     plan = compile_plan(graph)
     batch = sample_worlds(plan, num_samples, np.random.default_rng(9))
     sources = [
@@ -87,8 +93,9 @@ def sweep_case(graph, num_samples: int, num_sources: int, repeats: int):
     ]
     singles = [batch_reach(plan, batch, [s]) for s in sources]
     mismatches = 0
-    for gated in (True, False, None):
-        fused = batch_reach_multi(plan, batch, sources, gated=gated)
+    for sweep in (_reach_multi_gated, _reach_multi_full_width,
+                  batch_reach_multi):
+        fused = sweep(plan, batch, sources)
         for i in range(len(sources)):
             if not np.array_equal(fused[:, i], singles[i]):
                 mismatches += 1
@@ -96,10 +103,10 @@ def sweep_case(graph, num_samples: int, num_sources: int, repeats: int):
         lambda: [batch_reach(plan, batch, [s]) for s in sources], repeats
     )
     gated = best_of(
-        lambda: batch_reach_multi(plan, batch, sources, gated=True), repeats
+        lambda: _reach_multi_gated(plan, batch, sources), repeats
     )
     ungated = best_of(
-        lambda: batch_reach_multi(plan, batch, sources, gated=False), repeats
+        lambda: _reach_multi_full_width(plan, batch, sources), repeats
     )
     return {
         "num_samples": num_samples,

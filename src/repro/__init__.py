@@ -70,7 +70,7 @@ from .api import (
 )
 from . import api, baselines, datasets, experiments, graph, influence, paths, queries, reliability
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 __all__ = [
     "UncertainGraph",

@@ -54,7 +54,6 @@ from ..engine import (
     extract_worlds,
     pair_hit_fractions,
     repair_batch,
-    resolve_fuse_max_words,
     sample_worlds,
     scatter_world_columns,
     world_index_of,
@@ -126,14 +125,6 @@ class Session:
         what :meth:`apply_delta` resumes after a monotone edit instead
         of re-sweeping.  Purely a performance knob — cached fixpoints
         are bit-identical to fresh sweeps.
-    fuse_max_words:
-        Multi-source fusion threshold for batched pair sweeps: distinct
-        sources are fused into frontier-gated multi-source kernel
-        passes while the world-batch row is at most this many words
-        (``None`` -> the measured
-        :data:`repro.engine.batch.DEFAULT_FUSE_MAX_WORDS`, ``0``
-        disables fusion).  Purely a performance knob — results are
-        bit-for-bit identical on every dispatch path.
     store:
         Optional persistent index (:class:`repro.index.IndexStore`).
         World-batch lookup becomes a three-tier path — memory cache →
@@ -189,7 +180,6 @@ class Session:
         h: Optional[int] = None,
         max_cached_batches: int = 8,
         max_cached_reach: int = 128,
-        fuse_max_words: Optional[int] = None,
         store: Optional["IndexStore"] = None,
         store_breaker: Optional["CircuitBreaker"] = None,
     ) -> None:
@@ -212,11 +202,6 @@ class Session:
                 from ..index.breaker import CircuitBreaker
                 store_breaker = CircuitBreaker()
             self.store_breaker = store_breaker
-        # Validate eagerly (like max_cached_batches) so a bad knob fails
-        # at construction, not at the first grouped query; None is kept
-        # as-is to track the engine default.
-        resolve_fuse_max_words(fuse_max_words)
-        self.fuse_max_words = fuse_max_words
         self.selection_samples = selection_samples
         self.evaluation_samples = evaluation_samples
         self.evaluation_seed = evaluation_seed
@@ -730,12 +715,10 @@ class Session:
             return SelectionGainKernel(
                 self.graph, samples, seed=seed, plan=plan,
                 batch_factory=factory,
-                fuse_max_words=self.fuse_max_words,
             )
         batch, _, _ = self.world_batch(samples, seed)
         return SelectionGainKernel(
             self.graph, samples, seed=seed, plan=plan, batch=batch,
-            fuse_max_words=self.fuse_max_words,
         )
 
     # ------------------------------------------------------------------
@@ -841,43 +824,8 @@ class Session:
         all_pairs: List[Pair] = []
         for _, query in members:
             all_pairs.extend(query.pairs)
-
-        cached_values: Dict[Pair, float] = {}
-        start = time.perf_counter()
-        if self.store is not None:
-            cached_values = self._store_get_results(
-                name, all_pairs, samples, seed
-            )
-        missing = [
-            pair for pair in dict.fromkeys(all_pairs)
-            if pair not in cached_values
-        ]
-        lookup_s = time.perf_counter() - start
-
-        compile_s = sample_s = 0.0
-        world_source: Optional[str] = None
-        values: Dict[Pair, float] = dict(cached_values)
-        if missing:
-            plan, compile_s = self.plan()
-            batch, sample_s, world_source = self.world_batch(samples, seed)
-            start = time.perf_counter()
-            fresh = pair_hit_fractions(
-                plan, batch, missing, samples,
-                fuse_max_words=self.fuse_max_words,
-                reach_cache=self._reach_for(samples, seed),
-            )
-            self._trim_reach()
-            solve_s = lookup_s + time.perf_counter() - start
-            values.update(fresh)
-            if self.store is not None:
-                self._store_put_results(name, fresh, samples, seed)
-        else:
-            solve_s = lookup_s
-
-        timings = Timings(
-            compile_seconds=compile_s,
-            sample_seconds=sample_s,
-            solve_seconds=solve_s,
+        values, cached_values, timings, world_source = self._shared_values(
+            name, all_pairs, samples, seed
         )
         batch_was_cached = world_source in ("memory", "store")
         for index, query in members:
@@ -906,6 +854,60 @@ class Session:
                     cache_misses=cache_misses,
                 ),
             )
+
+    def _shared_values(
+        self,
+        name: str,
+        pairs: Sequence[Pair],
+        samples: int,
+        seed: int,
+    ) -> Tuple[Dict[Pair, float], Dict[Pair, float], Timings, Optional[str]]:
+        """Every pair's value over the cached ``(samples, seed)`` batch.
+
+        The one store-and-sweep path: pairs the store's result cache
+        already holds under ``(name, samples, seed)`` skip the sweep
+        (a fully cached call never materializes a world batch); the
+        rest go through one ``pair_hit_fractions`` call over the
+        session's reach cache, and fresh values are written back.
+        Returns ``(values, store hits, timings, world_source)``;
+        ``world_source`` is ``None`` when nothing was swept.
+        """
+        cached_values: Dict[Pair, float] = {}
+        start = time.perf_counter()
+        if self.store is not None:
+            cached_values = self._store_get_results(
+                name, pairs, samples, seed
+            )
+        missing = [
+            pair for pair in dict.fromkeys(pairs)
+            if pair not in cached_values
+        ]
+        lookup_s = time.perf_counter() - start
+
+        compile_s = sample_s = 0.0
+        world_source: Optional[str] = None
+        values: Dict[Pair, float] = dict(cached_values)
+        if missing:
+            plan, compile_s = self.plan()
+            batch, sample_s, world_source = self.world_batch(samples, seed)
+            start = time.perf_counter()
+            fresh = pair_hit_fractions(
+                plan, batch, missing, samples,
+                reach_cache=self._reach_for(samples, seed),
+            )
+            self._trim_reach()
+            solve_s = lookup_s + time.perf_counter() - start
+            values.update(fresh)
+            if self.store is not None:
+                self._store_put_results(name, fresh, samples, seed)
+        else:
+            solve_s = lookup_s
+        timings = Timings(
+            compile_seconds=compile_s,
+            sample_seconds=sample_s,
+            solve_seconds=solve_s,
+        )
+        return values, cached_values, timings, world_source
 
     def _run_individual(
         self,
@@ -1010,24 +1012,7 @@ class Session:
             # namespace with mc reliability queries: both are the same
             # deterministic hit-fraction over the same (Z, seed) batch.
             self._sync_version()
-            values: Dict[Pair, float] = {}
-            if self.store is not None:
-                values = self._store_get_results("mc", pairs, samples, seed)
-            missing = [
-                pair for pair in dict.fromkeys(pairs) if pair not in values
-            ]
-            if missing:
-                plan, _ = self.plan()
-                batch, _, _ = self.world_batch(samples, seed)
-                fresh = pair_hit_fractions(
-                    plan, batch, missing, samples,
-                    fuse_max_words=self.fuse_max_words,
-                    reach_cache=self._reach_for(samples, seed),
-                )
-                self._trim_reach()
-                values.update(fresh)
-                if self.store is not None:
-                    self._store_put_results("mc", fresh, samples, seed)
+            values, _, _, _ = self._shared_values("mc", pairs, samples, seed)
             return [values[pair] for pair in pairs]
         estimator = make_estimator("mc", samples, seed=seed)
         return estimator.reliability_many(

@@ -192,7 +192,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         estimator=args.estimator,
         selection_samples=args.samples,
         evaluation_samples=args.evaluation_samples,
-        fuse_max_words=args.fuse_max_words,
         r=args.r,
         l=args.l,
     )
@@ -501,12 +500,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--samples", type=int, default=250,
                          help="selection-estimator sample budget")
     p_serve.add_argument("--evaluation-samples", type=int, default=1000)
-    p_serve.add_argument(
-        "--fuse-max-words", type=int, default=None,
-        help="engine dispatch knob: fuse multi-source sweeps while the "
-             "world-batch row is at most this many uint64 words "
-             "(0 disables fusion; default: measured engine setting)",
-    )
     p_serve.add_argument(
         "--store", default=None, metavar="DIR",
         help="attach a persistent reliability index at this directory "

@@ -49,11 +49,9 @@ from .kernel import (
     world_index_of,
 )
 from .batch import (
-    DEFAULT_FUSE_MAX_WORDS,
     VectorizedSamplingEngine,
     pair_hit_fractions,
     reach_counts_dict,
-    resolve_fuse_max_words,
 )
 from .selection import SelectionGainKernel
 
@@ -93,10 +91,8 @@ __all__ = [
     "unpack_word_row",
     "valid_sample_mask",
     "world_index_of",
-    "DEFAULT_FUSE_MAX_WORDS",
     "VectorizedSamplingEngine",
     "pair_hit_fractions",
     "reach_counts_dict",
-    "resolve_fuse_max_words",
     "SelectionGainKernel",
 ]

@@ -21,7 +21,7 @@ reference.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,35 +39,55 @@ from .kernel import (
 Pair = Tuple[int, int]
 
 #: Fuse multi-source sweeps while each world batch row is at most this
-#: many words.  The frontier-gated fused sweep
-#: (:func:`repro.engine.kernel.batch_reach_multi`) does work
-#: proportional to the *active* (arc, source) frontier, so — unlike the
-#: old full-width fusion, whose hard ``_FUSE_MAX_WORDS = 4`` cliff this
-#: knob replaces — fusion keeps winning on wide batches.  Measured by
-#: ``benchmarks/bench_sweep_gated.py`` at S=16 on 1k-node graphs, W=1
-#: (Z=64) through W=64 (Z=4096): 3.2-7.9x over per-source sweeps on
-#: sweep-bound topologies (high-reliability ring) and 1.1-1.6x on a
-#: frontier-dense random graph — no crossover back to per-source
-#: anywhere in the measured range.  The default therefore only stops
-#: fusing where the fused state (S * W * n words) would dwarf the
-#: memory-budget chunking below; per-query overrides go through the
-#: ``fuse_max_words`` arguments on :func:`pair_hit_fractions`,
-#: :class:`VectorizedSamplingEngine` and :class:`repro.api.Session`
-#: (``0`` disables fusion, ``None`` means this default).
-DEFAULT_FUSE_MAX_WORDS = 1024
+#: many words (Z <= 65,536).  The auto-dispatched fused pass
+#: (:func:`repro.engine.kernel.batch_reach_multi`) beats per-source
+#: sweeps across the measured range: best-of-5 on
+#: ``benchmarks/bench_sweep_gated.py``'s cases at S=16, W=1 (Z=64)
+#: through W=64 (Z=4096), 2.5-7.9x on the sweep-bound ring and
+#: 1.05-2.8x on the frontier-dense ER 1k/3k graph (2-vCPU host).  The
+#: cap only stops fusing where the fused state (S * W * n words) would
+#: dwarf the word budget below.
+_FUSE_MAX_WORDS = 1024
 
 #: Word budget of one fused pass (S * W * num_nodes reached words);
 #: 4M words = 32 MB.  Larger fused groups are chunked.
 _MULTI_SOURCE_WORD_BUDGET = 4_000_000
 
 
-def resolve_fuse_max_words(fuse_max_words: Optional[int]) -> int:
-    """``None`` -> the measured default; negatives are rejected."""
-    if fuse_max_words is None:
-        return DEFAULT_FUSE_MAX_WORDS
-    if fuse_max_words < 0:
-        raise ValueError("fuse_max_words must be >= 0 (0 disables fusion)")
-    return fuse_max_words
+def reach_per_source(
+    plan: QueryPlan,
+    batch: WorldBatch,
+    source_indices: Sequence[int],
+) -> Iterator["np.ndarray"]:
+    """Yield each source's own contiguous ``(n, W)`` reached rows.
+
+    The one multi-source sweep dispatcher: sources are split into
+    groups whose fused state fits :data:`_MULTI_SOURCE_WORD_BUDGET`
+    (single-source groups once the row is wider than
+    :data:`_FUSE_MAX_WORDS`); a group of one runs :func:`batch_reach`,
+    a larger group one fused :func:`batch_reach_multi` pass.  Groups
+    are swept lazily, so at most one fused pass is alive at a time
+    unless the caller keeps the rows.  Every path is bit-for-bit equal
+    to one ``batch_reach`` per source; rows of one fused pass are
+    disjoint views, so each can be updated in place independently.
+    """
+    sources = list(source_indices)
+    if batch.num_words > _FUSE_MAX_WORDS:
+        chunk = 1
+    else:
+        chunk = max(
+            1,
+            _MULTI_SOURCE_WORD_BUDGET
+            // max(plan.num_nodes * batch.num_words, 1),
+        )
+    for start in range(0, len(sources), chunk):
+        group = sources[start:start + chunk]
+        if len(group) == 1:
+            yield batch_reach(plan, batch, group)
+            continue
+        reached = batch_reach_multi(plan, batch, group)
+        for i in range(len(group)):
+            yield np.ascontiguousarray(reached[:, i])
 
 
 def pair_hit_fractions(
@@ -75,18 +95,15 @@ def pair_hit_fractions(
     batch: WorldBatch,
     pairs: Sequence[Pair],
     num_samples: int,
-    fuse_max_words: Optional[int] = None,
     reach_cache: Optional[Dict[int, "np.ndarray"]] = None,
 ) -> Dict[Pair, float]:
     """Answer every (s, t) pair inside one shared world batch.
 
     Pairs are grouped by source so each distinct source costs one batch
-    BFS sweep; multi-source groups are fused into frontier-gated
-    multi-source kernel passes (:func:`batch_reach_multi`) while the
-    batch row stays within ``fuse_max_words`` words (``None`` -> the
-    measured :data:`DEFAULT_FUSE_MAX_WORDS`, ``0`` -> never fuse).
-    ``s == t`` pairs are 1.0 and endpoints unknown to the plan are 0.0
-    (matching the scalar estimators' semantics).
+    BFS sweep, and the sweeps of distinct sources are fused by
+    :func:`reach_per_source`.  ``s == t`` pairs are 1.0 and endpoints
+    unknown to the plan are 0.0 (matching the scalar estimators'
+    semantics).
 
     ``reach_cache`` maps dense source indices to full ``(n, W)``
     reached-fixpoint matrices over exactly this ``(plan, batch)``:
@@ -98,7 +115,6 @@ def pair_hit_fractions(
     bit-identical to a fresh sweep by the resume contract of
     :func:`~repro.engine.kernel.batch_reach_resume`.
     """
-    fuse_max_words = resolve_fuse_max_words(fuse_max_words)
     by_source: Dict[int, List[Pair]] = {}
     for s, t in pairs:
         by_source.setdefault(s, []).append((s, t))
@@ -117,19 +133,6 @@ def pair_hit_fractions(
         else:
             indexed.append((s, src))
 
-    if batch.num_words <= fuse_max_words and len(indexed) > 1:
-        chunk = max(
-            1,
-            _MULTI_SOURCE_WORD_BUDGET
-            // max(plan.num_nodes * batch.num_words, 1),
-        )
-        groups = [
-            indexed[start:start + chunk]
-            for start in range(0, len(indexed), chunk)
-        ]
-    else:
-        groups = [[entry] for entry in indexed]
-
     def _reduce(s: int, reached_rows: "np.ndarray") -> None:
         for pair in by_source[s]:
             t = pair[1]
@@ -145,23 +148,11 @@ def pair_hit_fractions(
     if reach_cache is not None:
         for s, src in cached_sources:
             _reduce(s, reach_cache[src])
-    for group in groups:
-        if len(group) == 1:
-            s, src = group[0]
-            rows = batch_reach(plan, batch, [src])
-            if reach_cache is not None:
-                reach_cache[src] = rows
-            _reduce(s, rows)
-        else:
-            reached = batch_reach_multi(
-                plan, batch, [src for _, src in group]
-            )
-            for i, (s, src) in enumerate(group):
-                rows = reached[:, i]
-                if reach_cache is not None:
-                    rows = np.ascontiguousarray(rows)
-                    reach_cache[src] = rows
-                _reduce(s, rows)
+    swept = reach_per_source(plan, batch, [src for _, src in indexed])
+    for (s, src), rows in zip(indexed, swept):
+        if reach_cache is not None:
+            reach_cache[src] = rows
+        _reduce(s, rows)
     return result
 
 
@@ -197,21 +188,10 @@ class VectorizedSamplingEngine:
         stateful: repeated calls advance the stream, and two engines
         built with the same seed replay the same estimates for the same
         query sequence.
-    fuse_max_words:
-        Multi-source fusion threshold for pair workloads — fuse while
-        the batch row is at most this many words (``None`` -> the
-        measured :data:`DEFAULT_FUSE_MAX_WORDS`, ``0`` disables
-        fusion).  Purely a performance knob: results are bit-for-bit
-        identical on every dispatch path.
     """
 
-    def __init__(
-        self,
-        seed: int = 0,
-        fuse_max_words: Optional[int] = None,
-    ) -> None:
+    def __init__(self, seed: int = 0) -> None:
         self.seed = seed
-        self.fuse_max_words = resolve_fuse_max_words(fuse_max_words)
         self._rng = np.random.default_rng(seed)
 
     # ------------------------------------------------------------------
@@ -228,23 +208,6 @@ class VectorizedSamplingEngine:
         return sample_worlds(
             plan, num_samples, self._rng, forced_true, forced_false
         )
-
-    def selection_kernel(
-        self,
-        graph: UncertainGraph,
-        num_samples: int,
-    ) -> "SelectionGainKernel":
-        """Batched candidate-gain kernel rooted at this engine's seed.
-
-        The kernel samples its own base batch from a *fresh* generator
-        seeded like this engine (selection results are deterministic
-        regardless of the engine's prior call history) and evaluates
-        every candidate edge against it — see
-        :mod:`repro.engine.selection`.
-        """
-        from .selection import SelectionGainKernel
-
-        return SelectionGainKernel(graph, num_samples, seed=self.seed)
 
     # ------------------------------------------------------------------
     # estimator surface
@@ -301,10 +264,7 @@ class VectorizedSamplingEngine:
             return {}
         plan = build_query_plan(graph, extra_edges)
         batch = self.sample_worlds(plan, num_samples)
-        return pair_hit_fractions(
-            plan, batch, pairs, num_samples,
-            fuse_max_words=self.fuse_max_words,
-        )
+        return pair_hit_fractions(plan, batch, pairs, num_samples)
 
     def reliability_many(
         self,

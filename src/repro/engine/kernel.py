@@ -763,10 +763,24 @@ def _sweep_fixpoint(
 
 #: Auto-dispatch threshold for :func:`batch_reach_multi`: gated sweeps
 #: for rows of at least this many words, full-width fusion below.
-#: Measured by ``benchmarks/bench_sweep_gated.py``: at W=1 (Z<=64) the
-#: full-width pass wins (~2.5x vs per-source on frontier-dense graphs)
-#: because one wide gather beats pair bookkeeping, while from W=2 up
-#: the gated pass matches or beats it everywhere measured.
+#: Measured best-of-5 on ``benchmarks/bench_sweep_gated.py``'s cases
+#: (S=16; 1k-node ring and ER 1k/3k; two runs on a 2-vCPU host), as
+#: full-width time over gated time:
+#:
+#: ====  ===========  ===========
+#: W     ring         ER 1k/3k
+#: ====  ===========  ===========
+#: 1     0.46-0.53    0.41-0.46
+#: 2     0.50-0.55    0.48-0.67
+#: 4     0.54-0.59    1.15-1.23
+#: 16    1.41-1.54    1.90-2.48
+#: 64    4.86-6.88    2.66-2.78
+#: ====  ===========  ===========
+#:
+#: One wide gather beats pair bookkeeping on narrow rows, so the
+#: crossover sits between W=2 and W=4 on the frontier-dense graph and
+#: between W=4 and W=16 on the sweep-bound ring: this threshold sends
+#: W=2 (and, on ring-like graphs, W=4) to the slower of the two passes.
 GATED_MIN_WORDS = 2
 
 #: Gated-sweep chunking: at most this many pairs per chunk (measured —
@@ -788,7 +802,6 @@ def batch_reach_multi(
     plan: QueryPlan,
     batch: WorldBatch,
     source_indices: Sequence[int],
-    gated: Optional[bool] = None,
 ) -> np.ndarray:
     """Independent per-source reached-bitmasks in one fused sweep.
 
@@ -799,25 +812,11 @@ def batch_reach_multi(
     the whole workload — the multi-source kernel sharing that makes
     session pair workloads cheap.
 
-    ``gated=True`` is the **frontier-gated** fusion: each sweep gathers
-    only the ``(arc, source)`` pairs whose source-local frontier is
-    active.  The per-source frontier is an ``(S, n)`` bool matrix;
-    indexing its arc-source columns yields an ``(S, A)`` activity mask
-    whose flat nonzero positions enumerate pairs already sorted by
-    ``(source block, arc position)`` — the arc table is
-    destination-sorted, so the flat scatter keys ``source * n + dst``
-    are non-decreasing and feed ``bitwise_or.reduceat`` directly, no
-    per-sweep sort needed.  Sweep work is therefore proportional to the
-    *active* frontier (``pairs * W`` words), not ``S * W`` words for
-    every union-frontier arc, which is what extends the fusion win from
-    narrow to wide batches; pairs are processed in cache-sized chunks
-    through preallocated gather buffers, and chunks whose scatter keys
-    are all distinct (the common case on sparse frontiers) skip
-    ``reduceat`` entirely.  ``gated=False`` keeps the legacy full-width
-    fusion; ``None`` (default) picks by row width
-    (:data:`GATED_MIN_WORDS`).  All three paths are bit-for-bit
-    identical (``benchmarks/bench_sweep_gated.py`` pins this along with
-    the speedups).
+    Rows of at least :data:`GATED_MIN_WORDS` words run the
+    frontier-gated fusion (:func:`_reach_multi_gated`), narrower rows
+    the full-width one (:func:`_reach_multi_full_width`).  Both are
+    bit-for-bit identical (``benchmarks/bench_sweep_gated.py`` pins
+    this along with the speedups).
 
     Returns ``(num_nodes, S, W)``: row ``[v, i]`` is source ``i``'s
     reached-bits for node ``v``.  Unlike :func:`batch_reach` the union
@@ -825,12 +824,36 @@ def batch_reach_multi(
     (multi-source reachability) semantics.
     """
     sources = list(source_indices)
+    if batch.num_words >= GATED_MIN_WORDS:
+        return _reach_multi_gated(plan, batch, sources)
+    return _reach_multi_full_width(plan, batch, sources)
+
+
+def _reach_multi_gated(
+    plan: QueryPlan,
+    batch: WorldBatch,
+    sources: List[int],
+) -> np.ndarray:
+    """Frontier-gated fusion: only active ``(arc, source)`` pairs.
+
+    Each sweep gathers only the ``(arc, source)`` pairs whose
+    source-local frontier is active.  The per-source frontier is an
+    ``(S, n)`` bool matrix; indexing its arc-source columns yields an
+    ``(S, A)`` activity mask whose flat nonzero positions enumerate
+    pairs already sorted by ``(source block, arc position)`` — the arc
+    table is destination-sorted, so the flat scatter keys
+    ``source * n + dst`` are non-decreasing and feed
+    ``bitwise_or.reduceat`` directly, no per-sweep sort needed.  Sweep
+    work is therefore proportional to the *active* frontier
+    (``pairs * W`` words), not ``S * W`` words for every union-frontier
+    arc, which is what extends the fusion win from narrow to wide
+    batches; pairs are processed in cache-sized chunks through
+    preallocated gather buffers, and chunks whose scatter keys are all
+    distinct (the common case on sparse frontiers) skip ``reduceat``
+    entirely.
+    """
     num_sources = len(sources)
     words = batch.num_words
-    if gated is None:
-        gated = words >= GATED_MIN_WORDS
-    if not gated:
-        return _reach_multi_full_width(plan, batch, sources)
     num_nodes = plan.num_nodes
     # Source-major layout: block i is source i's own (n, W) sweep; the
     # flat (S * n, W) view makes (source, node) pairs single scatter
@@ -914,11 +937,11 @@ def _reach_multi_full_width(
     batch: WorldBatch,
     sources: List[int],
 ) -> np.ndarray:
-    """Legacy ungated fusion: every frontier arc at full ``S * W`` width.
+    """Full-width fusion: every frontier arc at full ``S * W`` width.
 
-    Kept as the ``gated=False`` branch of :func:`batch_reach_multi` so
-    the dispatch crossover stays measurable
-    (``benchmarks/bench_sweep_gated.py``) and parity-testable.  A
+    :func:`batch_reach_multi`'s narrow-row branch (below
+    :data:`GATED_MIN_WORDS`); ``benchmarks/bench_sweep_gated.py`` times
+    it against the gated pass to keep the crossover measured.  A
     frontier arc here is gathered for *all* sources even when only one
     source's BFS is near it — cheap for narrow batches, byte-hostile
     for wide ones.

@@ -16,14 +16,10 @@ name (``"lazy"``) so the paper's sampler comparisons keep their rows.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
-
-from ..engine import VectorizedSamplingEngine
-from ..graph import UncertainGraph
-from .estimator import Overlay, ReliabilityEstimator, SelectionBackend
+from .monte_carlo import MonteCarloEstimator
 
 
-class LazyPropagationEstimator(ReliabilityEstimator):
+class LazyPropagationEstimator(MonteCarloEstimator):
     """Lazy-propagation Monte Carlo on the batch engine.
 
     The lazy schedule is subsumed by batched coin generation, so the
@@ -32,45 +28,3 @@ class LazyPropagationEstimator(ReliabilityEstimator):
     """
 
     name = "lazy"
-
-    def __init__(self, num_samples: int = 1000, seed: int = 0) -> None:
-        if num_samples < 1:
-            raise ValueError("num_samples must be positive")
-        self.num_samples = num_samples
-        self._engine = VectorizedSamplingEngine(seed)
-
-    def selection_backend(self) -> Optional[Tuple[int, int]]:
-        """On the engine, lazy propagation *is* plain batched MC (the
-        geometric schedule is subsumed by batched coin generation), so
-        selection loops may batch it through the gain kernel."""
-        return SelectionBackend(self.num_samples, self._engine.seed)
-
-    # ------------------------------------------------------------------
-    def reliability(
-        self,
-        graph: UncertainGraph,
-        source: int,
-        target: int,
-        extra_edges: Overlay = None,
-    ) -> float:
-        if source == target:
-            return 1.0
-        if source not in graph or target not in graph:
-            return 0.0
-        return self._engine.reliability(
-            graph, source, target, self.num_samples,
-            list(extra_edges) if extra_edges else None,
-        )
-
-    def reachability_from(
-        self,
-        graph: UncertainGraph,
-        source: int,
-        extra_edges: Overlay = None,
-    ) -> Dict[int, float]:
-        if source not in graph:
-            return {}
-        return self._engine.reachability_from(
-            graph, source, self.num_samples,
-            list(extra_edges) if extra_edges else None,
-        )

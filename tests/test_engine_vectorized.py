@@ -280,41 +280,91 @@ class TestMultiSourceFusedSweep:
 
     @pytest.mark.parametrize("z", [64, 256, 1024, 4096])
     def test_bitwise_parity_across_widths_and_gating(self, medium_graph, z):
-        """Gated, ungated-fused and per-source sweeps agree bit for bit
-        across the full width range (W = 1 .. 64)."""
+        """Gated, full-width fused, auto-dispatched and per-source
+        sweeps agree bit for bit across the full width range
+        (W = 1 .. 64)."""
         from repro.engine import batch_reach, batch_reach_multi, sample_worlds
+        from repro.engine.kernel import (
+            _reach_multi_full_width,
+            _reach_multi_gated,
+        )
 
         plan = compile_plan(medium_graph)
         batch = sample_worlds(plan, z, np.random.default_rng(11))
         sources = [0, 3, 7, 13, 21, 29]
-        gated = batch_reach_multi(plan, batch, sources, gated=True)
-        ungated = batch_reach_multi(plan, batch, sources, gated=False)
+        gated = _reach_multi_gated(plan, batch, sources)
+        full_width = _reach_multi_full_width(plan, batch, sources)
         auto = batch_reach_multi(plan, batch, sources)
         for i, src in enumerate(sources):
             single = batch_reach(plan, batch, [src])
             assert np.array_equal(gated[:, i], single), (z, src)
-            assert np.array_equal(ungated[:, i], single), (z, src)
+            assert np.array_equal(full_width[:, i], single), (z, src)
             assert np.array_equal(auto[:, i], single), (z, src)
 
-    @pytest.mark.parametrize("z", [64, 1000])
-    @pytest.mark.parametrize("fuse_max_words", [0, 1, None])
+    @pytest.mark.parametrize("z", [64, 128, 1000])
+    @pytest.mark.parametrize("cached", [False, True])
     def test_pair_hit_fractions_same_on_every_dispatch_path(
-        self, medium_graph, z, fuse_max_words
+        self, medium_graph, z, cached
     ):
-        # fuse_max_words=0 forces per-source sweeps, 1 fuses only
-        # single-word batches, None uses the measured default (fused on
-        # both widths here); all paths must agree with independent
-        # single-pair answers.
+        # Z=64 fuses full-width, 128 and 1000 fuse gated; with a reach
+        # cache the second call answers from cached fixpoints.  Every
+        # path must agree with independent single-pair answers.
         from repro.engine import pair_hit_fractions, sample_worlds
 
         plan = compile_plan(medium_graph)
         batch = sample_worlds(plan, z, np.random.default_rng(6))
         pairs = [(0, 10), (7, 20), (13, 5), (0, 25), (2, 2), (0, 999)]
-        values = pair_hit_fractions(
-            plan, batch, pairs, z, fuse_max_words=fuse_max_words
-        )
+        cache = {} if cached else None
+        values = pair_hit_fractions(plan, batch, pairs, z, reach_cache=cache)
+        if cached:
+            assert sorted(cache) == sorted(
+                plan.node_index(s) for s in (0, 7, 13, 2)
+            )
+            assert all(rows.flags.c_contiguous for rows in cache.values())
+            again = pair_hit_fractions(
+                plan, batch, pairs, z, reach_cache=cache
+            )
+            assert again == values
         assert values[(2, 2)] == 1.0
         assert values[(0, 999)] == 0.0
         for pair in [(0, 10), (7, 20), (13, 5), (0, 25)]:
             solo = pair_hit_fractions(plan, batch, [pair], z)
-            assert values[pair] == solo[pair], (pair, fuse_max_words)
+            assert values[pair] == solo[pair], (pair, cached)
+
+    def test_reach_per_source_chunks_by_word_budget(
+        self, medium_graph, monkeypatch
+    ):
+        """Sources beyond one fused group's word budget split into
+        further passes; a lone leftover source runs plain batch_reach."""
+        import repro.engine.batch as batch_module
+        from repro.engine import batch_reach, sample_worlds
+
+        plan = compile_plan(medium_graph)
+        batch = sample_worlds(plan, 128, np.random.default_rng(2))
+        sources = [0, 3, 7, 13, 21]
+        group_words = plan.num_nodes * batch.num_words
+        monkeypatch.setattr(
+            batch_module, "_MULTI_SOURCE_WORD_BUDGET", 2 * group_words
+        )
+        calls = []
+
+        def recording(name):
+            real = getattr(batch_module, name)
+
+            def sweep(p, b, srcs):
+                calls.append((name, list(srcs)))
+                return real(p, b, srcs)
+
+            return sweep
+
+        for name in ("batch_reach", "batch_reach_multi"):
+            monkeypatch.setattr(batch_module, name, recording(name))
+        rows = list(batch_module.reach_per_source(plan, batch, sources))
+        assert calls == [
+            ("batch_reach_multi", [0, 3]),
+            ("batch_reach_multi", [7, 13]),
+            ("batch_reach", [21]),
+        ]
+        for src, got in zip(sources, rows):
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, batch_reach(plan, batch, [src]))

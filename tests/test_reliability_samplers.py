@@ -188,3 +188,28 @@ class TestLazySpecifics:
         g = UncertainGraph.from_edges([(0, 1, 0.5), (1, 2, 0.5)])
         estimate = LazyPropagationEstimator(20000, seed=4).reliability(g, 0, 2)
         assert estimate == pytest.approx(0.25, abs=0.02)
+
+    def test_shared_world_entry_points_match_mc(self):
+        """``lazy`` shares MC's i.i.d.-worlds contract, so every entry
+        point answers exactly what plain MC answers with the same
+        ``(Z, seed)``: one-off batches, the session and multi-source."""
+        from repro.api import ReliabilityQuery, Session
+
+        g = assign_uniform(erdos_renyi(200, num_edges=600, seed=0),
+                           0.05, 0.5, seed=1)
+        pairs = [(0, 5), (0, 9), (3, 7)]
+        lazy = LazyPropagationEstimator(500, seed=3)
+        mc = MonteCarloEstimator(500, seed=3)
+        values = lazy.reliability_many(g, pairs)
+        assert values == mc.reliability_many(g, pairs)
+        via_session = Session(g).run([
+            ReliabilityQuery(s, target=t, samples=500, seed=3,
+                             estimator="lazy")
+            for s, t in pairs
+        ])
+        assert [r.value for r in via_session] == values
+        assert LazyPropagationEstimator(500, seed=3).multi_source_reachability(
+            g, [0, 3]
+        ) == MonteCarloEstimator(500, seed=3).multi_source_reachability(
+            g, [0, 3]
+        )

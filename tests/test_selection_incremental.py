@@ -174,24 +174,38 @@ class TestIncrementalMasks:
         )
         assert list(kernel._query_batches) == [(0, n - 1)]
 
-    def test_fuse_max_words_zero_disables_fused_mask_sweeps(self, monkeypatch):
-        import repro.engine.selection as selection_module
-
+    @pytest.mark.parametrize("aggregate", ["avg", "min", "max"])
+    @pytest.mark.parametrize("z", [64, Z])
+    def test_multi_matches_per_source_mask_oracle(
+        self, monkeypatch, aggregate, z
+    ):
+        """Fused pair masks select exactly what masks swept one source
+        (and one target) at a time with ``batch_reach`` select."""
         graph = build_graph(False, seed=8)
         n = graph.num_nodes
-        pairs = [(0, n - 1), (1, n - 2)]
+        pairs = [(0, n - 1), (1, n - 2), (0, n - 2), (3, 3)]
         pool = candidate_pool(n)
-        fused = SelectionGainKernel(graph, Z, seed=SEED).greedy_select_multi(
-            pairs, 2, pool
+        fused = SelectionGainKernel(graph, z, seed=SEED).greedy_select_multi(
+            pairs, 3, pool, aggregate
         )
+
+        def per_source_masks(self, plan, batch, pairs):
+            forward, reverse = {}, {}
+            for s, t in pairs:
+                si, ti = plan.node_index(s), plan.node_index(t)
+                if si is not None and s not in forward:
+                    forward[s] = batch_reach(plan, batch, [si])
+                if ti is not None and t not in reverse:
+                    reverse[t] = batch_reach(plan.reverse_view(), batch, [ti])
+            return forward, reverse
+
         monkeypatch.setattr(
-            selection_module, "batch_reach_multi",
-            lambda *a, **kw: pytest.fail("fused sweep despite fuse_max_words=0"),
+            SelectionGainKernel, "_pair_masks", per_source_masks
         )
-        per_source = SelectionGainKernel(
-            graph, Z, seed=SEED, fuse_max_words=0
-        ).greedy_select_multi(pairs, 2, pool)
-        assert fused == per_source
+        oracle = SelectionGainKernel(graph, z, seed=SEED).greedy_select_multi(
+            pairs, 3, pool, aggregate
+        )
+        assert fused == oracle
 
     def test_multi_interns_pair_endpoint_via_winner(self):
         """A pair target outside the base graph gets a mask once a
@@ -313,12 +327,6 @@ class TestConditionedBackendRouting:
         )
         with pytest.raises(ValueError, match="base batch per query"):
             kernel.candidate_rows(0, [(0, 1, 0.5)])
-
-    def test_session_rejects_negative_fuse_max_words(self):
-        from repro.api import Session
-
-        with pytest.raises(ValueError, match="fuse_max_words"):
-            Session(build_graph(False), fuse_max_words=-1)
 
     def test_adaptive_block_batch_respects_cap_and_blocks(self):
         est = make_estimator("adaptive", 500, seed=4)
