@@ -50,6 +50,9 @@ from ..engine import (
     batch_to_words,
     coin_base,
     compile_plan,
+    edge_coin_rows,
+    extend_batch,
+    extend_with_overlay,
     extract_world_columns,
     extract_worlds,
     pair_hit_fractions,
@@ -989,14 +992,17 @@ class Session:
         samples: Optional[int] = None,
         seed: Optional[int] = None,
     ) -> List[float]:
-        """Paired-seed MC evaluation of pairs, batched where possible.
+        """Paired-seed MC evaluation of pairs over the cached batch.
 
         Without an overlay the pairs are answered from the session's
-        shared evaluation batch; with candidate ``extra_edges`` a fresh
-        paired estimator runs over the merged plan.  Both produce the
-        exact values a standalone ``MonteCarloEstimator`` with the same
-        ``(Z, seed)`` would, so gains stay comparable across methods and
-        sessions.
+        shared evaluation batch.  With candidate ``extra_edges`` the
+        same batch is extended by one keyed coin row per overlay edge
+        (every base row is already cached), and the pairs are swept over
+        the overlay-extended plan; neither the reach cache nor the
+        store's result cache is used, as both are keyed on the graph
+        without the overlay.  Both produce the exact values a
+        standalone ``MonteCarloEstimator`` with the same ``(Z, seed)``
+        would, so gains stay comparable across methods and sessions.
         """
         self._affinity.check("Session.evaluate_pairs")
         samples = samples if samples is not None else self.evaluation_samples
@@ -1004,6 +1010,7 @@ class Session:
         pairs = list(pairs)
         if not pairs:
             return []
+        self._sync_version()
         if not extra_edges:
             # pair_hit_fractions implements the same unknown-endpoint /
             # s==t semantics as the estimators, so every
@@ -1011,13 +1018,19 @@ class Session:
             # Overlay-free evaluations share the "mc" result-cache
             # namespace with mc reliability queries: both are the same
             # deterministic hit-fraction over the same (Z, seed) batch.
-            self._sync_version()
             values, _, _, _ = self._shared_values("mc", pairs, samples, seed)
             return [values[pair] for pair in pairs]
-        estimator = make_estimator("mc", samples, seed=seed)
-        return estimator.reliability_many(
-            self.graph, pairs, list(extra_edges) if extra_edges else None
+        plan, _ = self.plan()
+        batch, _, _ = self.world_batch(samples, seed)
+        merged = extend_with_overlay(plan, extra_edges)
+        rows = edge_coin_rows(
+            merged, range(plan.num_edges, merged.num_edges),
+            coin_base(np.random.default_rng(seed)), samples,
         )
+        values = pair_hit_fractions(
+            merged, extend_batch(batch, rows), pairs, samples
+        )
+        return [values[pair] for pair in pairs]
 
     def evaluate(
         self,

@@ -31,6 +31,7 @@ from .kernel import (
     coin_base,
     concat_batches,
     edge_coin_row,
+    edge_coin_rows,
     extend_batch,
     extract_world_columns,
     extract_worlds,
@@ -75,6 +76,7 @@ __all__ = [
     "coin_base",
     "concat_batches",
     "edge_coin_row",
+    "edge_coin_rows",
     "extend_batch",
     "extract_world_columns",
     "extract_worlds",

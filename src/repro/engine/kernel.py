@@ -21,7 +21,7 @@ which keeps every popcount exact without masking.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -72,7 +72,12 @@ def coin_base(rng: np.random.Generator) -> np.uint64:
     return np.uint64(rng.integers(0, 2**64, dtype=np.uint64))
 
 
-def _edge_keys(plan: QueryPlan, base: np.uint64) -> np.ndarray:
+def _identity_keys(
+    base: np.uint64,
+    u: Union[np.ndarray, Sequence[int]],
+    v: Union[np.ndarray, Sequence[int]],
+    ordinal: Union[np.ndarray, Sequence[int]],
+) -> np.ndarray:
     """Per-edge uint64 coin keys chained over each edge's identity.
 
     The chain folds the canonical endpoints and duplicate ordinal
@@ -80,11 +85,35 @@ def _edge_keys(plan: QueryPlan, base: np.uint64) -> np.ndarray:
     base, one mix per component, so the key — and therefore the coin
     row — is independent of the edge's position in the compiled table.
     """
-    keys = np.full(plan.num_edges, base, dtype=np.uint64)
-    for part in (plan.edge_u, plan.edge_v, plan.edge_ordinal):
-        words = part.astype(np.uint64) + _ONE64
+    keys = np.full(len(u), base, dtype=np.uint64)
+    for part in (u, v, ordinal):
+        words = np.asarray(part, dtype=np.int64).astype(np.uint64) + _ONE64
         keys = _mix64(keys + _MIX_GAMMA * words)
     return keys
+
+
+def _keyed_rows(
+    keys: np.ndarray,
+    probs: Union[np.ndarray, Sequence[float]],
+    num_samples: int,
+) -> np.ndarray:
+    """:func:`_keyed_coin_bits` over any number of rows, in blocks.
+
+    Blocking keeps the temporary uint64 counter matrix near
+    :data:`_COIN_BLOCK_FLOATS` entries at any ``Z``.
+    """
+    rows = np.empty((len(keys), num_words(num_samples)), dtype=np.uint64)
+    # float32 coins halve comparison cost; the 2^-24 threshold grid bias
+    # is orders of magnitude below Monte Carlo noise.
+    probs32 = np.asarray(probs, dtype=np.float64).astype(np.float32)
+    sample_index = np.arange(num_samples, dtype=np.uint64)
+    block = max(1, _COIN_BLOCK_FLOATS // max(num_samples, 1))
+    for start in range(0, len(keys), block):
+        stop = min(start + block, len(keys))
+        rows[start:stop] = _keyed_coin_bits(
+            keys[start:stop], probs32[start:stop], num_samples, sample_index
+        )
+    return rows
 
 
 def _keyed_coin_bits(
@@ -358,21 +387,12 @@ def sample_worlds_keyed(
     entry point exists for delta repair, which re-derives the base from
     the session seed long after the original generator is gone.
     """
-    num_edges = plan.num_edges
-    words = num_words(num_samples)
     valid = valid_sample_mask(num_samples)
-    alive = np.empty((num_edges, words), dtype=np.uint64)
-    # float32 coins halve comparison cost; the 2^-24 threshold grid bias
-    # is orders of magnitude below Monte Carlo noise.
-    probs = plan.probs.astype(np.float32)
-    keys = _edge_keys(plan, base)
-    sample_index = np.arange(num_samples, dtype=np.uint64)
-    block = max(1, _COIN_BLOCK_FLOATS // max(num_samples, 1))
-    for start in range(0, num_edges, block):
-        stop = min(start + block, num_edges)
-        alive[start:stop] = _keyed_coin_bits(
-            keys[start:stop], probs[start:stop], num_samples, sample_index
-        )
+    alive = _keyed_rows(
+        _identity_keys(base, plan.edge_u, plan.edge_v, plan.edge_ordinal),
+        plan.probs,
+        num_samples,
+    )
     forced_true = list(forced_true)
     forced_false = list(forced_false)
     if forced_true:
@@ -398,14 +418,33 @@ def edge_coin_row(
     """
     if sanitize.enabled():
         sanitize.check_probabilities(p, "edge_coin_row: p")
-    key = np.full(1, base, dtype=np.uint64)
-    for part in (u, v, ordinal):
-        word = np.asarray([part], dtype=np.int64).astype(np.uint64) + _ONE64
-        key = _mix64(key + _MIX_GAMMA * word)
-    sample_index = np.arange(num_samples, dtype=np.uint64)
-    return _keyed_coin_bits(
-        key, np.asarray([p], dtype=np.float32), num_samples, sample_index
+    return _keyed_rows(
+        _identity_keys(base, [u], [v], [ordinal]), [p], num_samples
     )[0]
+
+
+def edge_coin_rows(
+    plan: QueryPlan,
+    edge_ids: Sequence[int],
+    base: np.uint64,
+    num_samples: int,
+) -> np.ndarray:
+    """``(len(edge_ids), W)`` keyed coin rows of some of ``plan``'s edges.
+
+    Bit-identical to those rows of ``sample_worlds_keyed(plan, Z,
+    base)``.  With :func:`extend_batch` this turns a cached base batch
+    into the batch of an overlay-extended plan
+    (:func:`~repro.engine.csr.extend_with_overlay`) by flipping only
+    the overlay edges' coins.
+    """
+    ids = np.asarray(edge_ids, dtype=np.int64)
+    probs = plan.probs[ids]
+    if sanitize.enabled():
+        sanitize.check_probabilities(probs, "edge_coin_rows: probs")
+    keys = _identity_keys(
+        base, plan.edge_u[ids], plan.edge_v[ids], plan.edge_ordinal[ids]
+    )
+    return _keyed_rows(keys, probs, num_samples)
 
 
 @dataclass
@@ -779,9 +818,12 @@ def _sweep_fixpoint(
 #:
 #: One wide gather beats pair bookkeeping on narrow rows, so the
 #: crossover sits between W=2 and W=4 on the frontier-dense graph and
-#: between W=4 and W=16 on the sweep-bound ring: this threshold sends
-#: W=2 (and, on ring-like graphs, W=4) to the slower of the two passes.
-GATED_MIN_WORDS = 2
+#: between W=4 and W=16 on the sweep-bound ring.  The threshold sits at
+#: W=4, where the frontier-dense graph starts to favour gating: rows of
+#: up to 3 words take the full-width pass, which is faster there on
+#: both graphs; ring-like graphs still take the slower, gated pass at
+#: W=4-15.
+GATED_MIN_WORDS = 4
 
 #: Gated-sweep chunking: at most this many pairs per chunk (measured —
 #: more pairs per call puts ``reduceat`` on its slow

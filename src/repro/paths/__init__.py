@@ -1,6 +1,7 @@
 """Path algorithms over uncertain graphs."""
 
 from .dijkstra import (
+    PathGraph,
     hop_shortest_path,
     most_reliable_path,
     path_probability,
@@ -15,6 +16,7 @@ from .layered import (
 from .maxflow import DinicMaxFlow, min_cut
 
 __all__ = [
+    "PathGraph",
     "hop_shortest_path",
     "most_reliable_path",
     "path_probability",

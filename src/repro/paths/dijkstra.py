@@ -5,14 +5,16 @@ the most reliable path (Eq. 5) is the shortest path under the additive
 weight ``w(e) = -log p(e)`` — non-negative because ``p(e) <= 1``.
 
 Every routine supports an ``extra_edges`` overlay so candidate edges can
-be searched without copying the graph.
+be searched without copying the graph.  Repeated searches over one
+graph-plus-overlay (Yen's spur searches) share a :class:`PathGraph`
+compiled once.
 """
 
 from __future__ import annotations
 
 import math
 from heapq import heappop, heappush
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..graph import UncertainGraph
 from ..reliability.estimator import Overlay, build_overlay
@@ -44,8 +46,59 @@ def path_probability(graph: UncertainGraph, path: Sequence[int],
     return prob
 
 
+class PathGraph:
+    """``G`` plus an overlay, compiled for repeated path searches.
+
+    Yen's algorithm runs one Dijkstra per spur node over the same
+    candidate-augmented graph ``G+``; compiling it once replaces the
+    per-search dict walks, overlay rebuilds and ``math.log`` calls with
+    list lookups.
+
+    * Nodes get dense indices in **sorted node-id order**, so heap
+      entries ``(d, index)`` break distance ties exactly as
+      ``(d, node_id)`` would.
+    * ``adjacency[i]`` lists ``(j, -log p)`` in traversal order: the
+      graph's successors in insertion order, then the overlay edges in
+      :func:`build_overlay` order.  Edges with ``p <= 0`` are dropped.
+    * ``in_graph[i]`` marks graph nodes; overlay-only endpoints can be
+      reached but never start a search.
+
+    ``d + (-log p)`` is bit-identical to ``d - log p``, so distances,
+    paths and probabilities equal a search over the dict adjacency.
+    """
+
+    __slots__ = ("node_ids", "index_of", "adjacency", "in_graph")
+
+    def __init__(self, graph: UncertainGraph,
+                 extra_edges: Overlay = None) -> None:
+        overlay = build_overlay(graph, extra_edges)
+        nodes = set(graph.nodes())
+        for u, pairs in overlay.items():
+            nodes.add(u)
+            nodes.update(v for v, _ in pairs)
+        self.node_ids: List[int] = sorted(nodes)
+        index_of = {u: i for i, u in enumerate(self.node_ids)}
+        self.index_of: Dict[int, int] = index_of
+        log = math.log
+        adjacency: List[List[Tuple[int, float]]] = []
+        in_graph = bytearray(len(self.node_ids))
+        for i, u in enumerate(self.node_ids):
+            in_graph[i] = u in graph
+            arcs = [
+                (index_of[v], -log(p))
+                for v, p in graph.successors(u).items() if p > 0.0
+            ]
+            arcs.extend(
+                (index_of[v], -log(p))
+                for v, p in overlay.get(u, ()) if p > 0.0
+            )
+            adjacency.append(arcs)
+        self.adjacency = adjacency
+        self.in_graph = in_graph
+
+
 def most_reliable_path(
-    graph: UncertainGraph,
+    graph: Union[UncertainGraph, PathGraph],
     source: int,
     target: int,
     extra_edges: Overlay = None,
@@ -54,49 +107,71 @@ def most_reliable_path(
 ) -> Tuple[Optional[Path], float]:
     """The single most reliable path and its probability.
 
+    ``graph`` is an :class:`UncertainGraph` (compiled with
+    ``extra_edges`` on the spot) or an already compiled
+    :class:`PathGraph`, which carries its overlay itself.
+
     Returns ``(None, 0.0)`` when no path with positive probability
-    exists.  ``forbidden_nodes``/``forbidden_edges`` support Yen's spur
-    computations; forbidden edges are direction-sensitive keys as
-    traversed (``(u, v)`` means the hop u→v is banned).
+    exists or ``source`` is not a graph node.  ``forbidden_nodes``/
+    ``forbidden_edges`` support Yen's spur computations; forbidden
+    edges are direction-sensitive keys as traversed (``(u, v)`` means
+    the hop u→v is banned).
     """
     if source == target:
         return [source], 1.0
-    if source not in graph or (target not in graph and not extra_edges):
+    if isinstance(graph, UncertainGraph):
+        if source not in graph or (target not in graph and not extra_edges):
+            return None, 0.0
+        graph = PathGraph(graph, extra_edges)
+    index_of = graph.index_of
+    src = index_of.get(source)
+    dst = index_of.get(target)
+    if src is None or dst is None or not graph.in_graph[src]:
         return None, 0.0
-    overlay = build_overlay(graph, extra_edges)
-    banned_nodes = forbidden_nodes or ()
-    banned_edges = forbidden_edges or ()
-    dist: Dict[int, float] = {source: 0.0}
-    parent: Dict[int, int] = {}
-    heap: List[Tuple[float, int]] = [(0.0, source)]
-    visited: Set[int] = set()
+    n = len(graph.node_ids)
+    # Banned nodes are marked done up front: a done node is never
+    # relaxed into, which is all a ban does (the source is exempt).
+    done = bytearray(n)
+    for node in forbidden_nodes or ():
+        i = index_of.get(node)
+        if i is not None and i != src:
+            done[i] = 1
+    banned_out: Dict[int, Set[int]] = {}
+    for u, v in forbidden_edges or ():
+        ui, vi = index_of.get(u), index_of.get(v)
+        if ui is not None and vi is not None:
+            banned_out.setdefault(ui, set()).add(vi)
+    adjacency = graph.adjacency
+    dist = [math.inf] * n
+    parent = [-1] * n
+    dist[src] = 0.0
+    heap: List[Tuple[float, int]] = [(0.0, src)]
     while heap:
         d, u = heappop(heap)
-        if u in visited:
+        if done[u]:
             continue
-        if u == target:
+        if u == dst:
             break
-        visited.add(u)
-        neighbors: List[Tuple[int, float]] = list(graph.successors(u).items())
-        if overlay and u in overlay:
-            neighbors.extend(overlay[u])
-        for v, p in neighbors:
-            if v in visited or v in banned_nodes or p <= 0.0:
+        done[u] = 1
+        banned = banned_out.get(u, ())
+        for v, w in adjacency[u]:
+            if done[v] or v in banned:
                 continue
-            if (u, v) in banned_edges:
-                continue
-            nd = d - math.log(p)
-            if nd < dist.get(v, math.inf):
+            nd = d + w
+            if nd < dist[v]:
                 dist[v] = nd
                 parent[v] = u
                 heappush(heap, (nd, v))
-    if target not in dist:
+    if dist[dst] == math.inf:
         return None, 0.0
+    node_ids = graph.node_ids
     path = [target]
-    while path[-1] != source:
-        path.append(parent[path[-1]])
+    i = dst
+    while i != src:
+        i = parent[i]
+        path.append(node_ids[i])
     path.reverse()
-    return path, math.exp(-dist[target])
+    return path, math.exp(-dist[dst])
 
 
 def reliability_dijkstra_all(

@@ -16,7 +16,7 @@ from typing import Dict, List, Sequence, Set, Tuple
 
 from ..graph import UncertainGraph
 from ..reliability.estimator import Overlay
-from .dijkstra import most_reliable_path, path_probability
+from .dijkstra import PathGraph, most_reliable_path, path_probability
 
 Path = List[int]
 
@@ -44,14 +44,16 @@ def top_l_most_reliable_paths(
     """Up to ``l`` most reliable simple paths, most reliable first.
 
     Paths with zero probability are never returned.  ``extra_edges``
-    triples participate exactly like graph edges.
+    triples participate exactly like graph edges.  ``G+`` is compiled
+    into one :class:`PathGraph` shared by every spur search.
     """
     if l < 1:
         raise ValueError("l must be positive")
     extra = list(extra_edges) if extra_edges else None
     extra_probs = _overlay_probs(graph, extra)
+    compiled = PathGraph(graph, extra)
 
-    first_path, first_prob = most_reliable_path(graph, source, target, extra)
+    first_path, first_prob = most_reliable_path(compiled, source, target)
     if first_path is None or first_prob <= 0.0:
         return []
 
@@ -73,10 +75,9 @@ def top_l_most_reliable_paths(
                         banned_edges.add((path[i + 1], path[i]))
             banned_nodes = set(root[:-1])
             spur_path, spur_prob = most_reliable_path(
-                graph,
+                compiled,
                 spur_node,
                 target,
-                extra,
                 forbidden_nodes=banned_nodes,
                 forbidden_edges=banned_edges,
             )
