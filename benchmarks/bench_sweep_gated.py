@@ -193,6 +193,9 @@ def run(smoke: bool, json_path: str | None) -> int:
         sweep_floor = 3.0
         round_floor = 2.0
 
+    # W=2 (Z=128) sits below GATED_MIN_WORDS, where dispatch picks the
+    # full-width pass: timed and parity-checked, reported, not gated.
+    report_only = [128]
     ring = ring_graph(ring_n)
     er = er_graph(er_n, er_m)
     report = {
@@ -205,7 +208,7 @@ def run(smoke: bool, json_path: str | None) -> int:
     print("== frontier-gated fused multi-source sweeps ==")
     failures = []
     for label, graph in (("ring", ring), ("er", er)):
-        for z in widths:
+        for z in sorted(widths + report_only):
             case = sweep_case(graph, z, gate_s, repeats)
             report["sweep"][label].append(case)
             print(
@@ -234,6 +237,7 @@ def run(smoke: bool, json_path: str | None) -> int:
     if not smoke:
         worst_dense = min(
             c["gated_speedup"] for c in report["sweep"]["er"]
+            if c["num_samples"] in widths
         )
         report["worst_dense_gated_speedup"] = worst_dense
         if worst_dense < 0.7:

@@ -128,6 +128,7 @@ def candidate_edges_between(
     """
     forbidden = forbidden_nodes or set()
     target_set = [v for v in target_side if v not in forbidden]
+    directed = graph.directed
     hop_cache: Dict[int, Set[int]] = {}
     seen: Set[Edge] = set()
     edges: List[ProbEdge] = []
@@ -138,12 +139,14 @@ def candidate_edges_between(
             if u not in hop_cache:
                 hop_cache[u] = graph.within_hops(u, h)
             allowed = hop_cache[u]
+        # has_edge(u, v) is ``v in successors(u)``: look the dict up once.
+        successors = graph.successors(u)
         for v in target_set:
-            if u == v or graph.has_edge(u, v):
+            if u == v or v in successors:
                 continue
             if h is not None and v not in allowed:
                 continue
-            key = (u, v) if graph.directed or u <= v else (v, u)
+            key = (u, v) if directed or u <= v else (v, u)
             if key in seen:
                 continue
             seen.add(key)

@@ -21,7 +21,7 @@ reference.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .kernel import (
     hit_fraction,
     popcount,
     sample_worlds,
+    unpack_bool_matrix,
 )
 
 Pair = Tuple[int, int]
@@ -197,17 +198,9 @@ class VectorizedSamplingEngine:
     # ------------------------------------------------------------------
     # world sampling (low-level, reused by BFS-sharing / RSS)
     # ------------------------------------------------------------------
-    def sample_worlds(
-        self,
-        plan: QueryPlan,
-        num_samples: int,
-        forced_true: Iterable[int] = (),
-        forced_false: Iterable[int] = (),
-    ) -> WorldBatch:
+    def sample_worlds(self, plan: QueryPlan, num_samples: int) -> WorldBatch:
         """Sample ``num_samples`` worlds over ``plan``'s edge table."""
-        return sample_worlds(
-            plan, num_samples, self._rng, forced_true, forced_false
-        )
+        return sample_worlds(plan, num_samples, self._rng)
 
     # ------------------------------------------------------------------
     # estimator surface
@@ -303,43 +296,47 @@ class VectorizedSamplingEngine:
     # ------------------------------------------------------------------
     # stratified leaves (RSS delegation)
     # ------------------------------------------------------------------
-    def stratified_reliability(
+    def stratified_leaf_counts(
         self,
         plan: QueryPlan,
         source: int,
-        target: int,
-        forced: Dict[Tuple[int, int], bool],
-        num_samples: int,
-    ) -> float:
-        """Monte Carlo hit rate conditioned on forced edge states.
+        leaves: Sequence[Tuple[int, Dict[Tuple[int, int], bool]]],
+        target: Optional[int] = None,
+    ) -> "np.ndarray":
+        """Answer every Monte Carlo leaf of one stratified estimate.
 
-        ``forced`` maps canonical edge keys (node-id space) to pinned
-        states; keys shared by several physical edges pin all of them.
+        ``leaves`` are ``(num_samples, forced)`` pairs in the order the
+        stratification visited them; ``forced`` maps canonical edge
+        keys (node-id space) to pinned states, and a key shared by
+        several physical edges pins all of them.  One keyed batch holds
+        each leaf's worlds as its own contiguous block (its own base,
+        drawn from the engine's generator in leaf order, and its own
+        pins), and one sweep from ``source`` answers them all — worlds
+        never read each other's bits, so every block's reached bits
+        equal a separate batch and sweep per leaf.
+
+        Returns the per-leaf count of worlds that reach ``target``
+        (``(L,)`` ints), or without a target the per-leaf count for
+        every plan node (``(num_nodes, L)``).  Both endpoints must be
+        plan nodes.
         """
-        src = plan.node_index(source)
-        dst = plan.node_index(target)
-        if src is None or dst is None:
-            return 0.0
-        forced_true, forced_false = self._forced_ids(plan, forced)
-        batch = self.sample_worlds(plan, num_samples, forced_true, forced_false)
-        reached = batch_reach(plan, batch, [src], target_index=dst)
-        return hit_fraction(reached[dst], num_samples)
-
-    def stratified_reach_counts(
-        self,
-        plan: QueryPlan,
-        source: int,
-        forced: Dict[Tuple[int, int], bool],
-        num_samples: int,
-    ) -> Dict[int, float]:
-        """Per-node reach frequency conditioned on forced edge states."""
-        src = plan.node_index(source)
-        if src is None:
-            return {}
-        forced_true, forced_false = self._forced_ids(plan, forced)
-        batch = self.sample_worlds(plan, num_samples, forced_true, forced_false)
-        reached = batch_reach(plan, batch, [src])
-        return reach_counts_dict(plan, reached, num_samples, [source])
+        counts = [count for count, _ in leaves]
+        total = sum(counts)
+        blocks = [
+            (count, *self._forced_ids(plan, forced))
+            for count, forced in leaves
+        ]
+        batch = sample_worlds(plan, total, self._rng, blocks)
+        dst = None if target is None else plan.node_index(target)
+        reached = batch_reach(
+            plan, batch, [plan.node_index(source)], target_index=dst
+        )
+        rows = reached if dst is None else reached[dst:dst + 1]
+        starts = np.cumsum(counts) - counts
+        per_leaf = np.add.reduceat(
+            unpack_bool_matrix(rows, total), starts, axis=1, dtype=np.int64
+        )
+        return per_leaf if dst is None else per_leaf[0]
 
     # ------------------------------------------------------------------
     @staticmethod

@@ -21,7 +21,7 @@ which keeps every popcount exact without masking.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -29,6 +29,10 @@ from ..analysis import sanitize
 from .csr import QueryPlan
 
 WORD_BITS = 64
+
+#: One contiguous run of worlds in a multi-block batch
+#: (:func:`sample_worlds`): ``(count, forced_true_ids, forced_false_ids)``.
+SampleBlock = Tuple[int, Sequence[int], Sequence[int]]
 
 #: Edge-row block size for coin generation, sized so the temporary
 #: uint64 counter matrix stays around ~32 MB regardless of Z.
@@ -73,7 +77,7 @@ def coin_base(rng: np.random.Generator) -> np.uint64:
 
 
 def _identity_keys(
-    base: np.uint64,
+    base: Union[np.uint64, np.ndarray],
     u: Union[np.ndarray, Sequence[int]],
     v: Union[np.ndarray, Sequence[int]],
     ordinal: Union[np.ndarray, Sequence[int]],
@@ -84,10 +88,15 @@ def _identity_keys(
     (:attr:`QueryPlan.edge_u` and friends, node-id space) into the
     base, one mix per component, so the key — and therefore the coin
     row — is independent of the edge's position in the compiled table.
+    A ``(B,)`` array of bases gives ``(edges, B)`` keys whose column
+    ``b`` is the key vector of base ``b`` alone.
     """
-    keys = np.full(len(u), base, dtype=np.uint64)
+    bases = np.asarray(base, dtype=np.uint64)
+    keys = np.empty((len(u),) + bases.shape, dtype=np.uint64)
+    keys[...] = bases
     for part in (u, v, ordinal):
         words = np.asarray(part, dtype=np.int64).astype(np.uint64) + _ONE64
+        words = words.reshape((-1,) + (1,) * bases.ndim)
         keys = _mix64(keys + _MIX_GAMMA * words)
     return keys
 
@@ -95,47 +104,72 @@ def _identity_keys(
 def _keyed_rows(
     keys: np.ndarray,
     probs: Union[np.ndarray, Sequence[float]],
-    num_samples: int,
+    counts: Sequence[int],
 ) -> np.ndarray:
-    """:func:`_keyed_coin_bits` over any number of rows, in blocks.
+    """Packed coin words of keyed rows over contiguous blocks of worlds.
 
-    Blocking keeps the temporary uint64 counter matrix near
+    ``keys`` and ``probs`` are ``(rows,)`` for one block or
+    ``(rows, B)`` for ``B`` blocks: column ``b`` holds every row's key
+    and threshold in block ``b``, whose ``counts[b]`` worlds follow
+    block ``b - 1``'s with no gap and use sample indices
+    ``0 .. counts[b] - 1`` — so each block's bits equal a one-block
+    call with that block's column.  Edge rows are generated in blocks
+    that keep the temporary uint64 counter matrix near
     :data:`_COIN_BLOCK_FLOATS` entries at any ``Z``.
     """
-    rows = np.empty((len(keys), num_words(num_samples)), dtype=np.uint64)
+    counts = [int(c) for c in counts]
+    total = sum(counts)
+    keys = np.asarray(keys, dtype=np.uint64)
     # float32 coins halve comparison cost; the 2^-24 threshold grid bias
     # is orders of magnitude below Monte Carlo noise.
     probs32 = np.asarray(probs, dtype=np.float64).astype(np.float32)
-    sample_index = np.arange(num_samples, dtype=np.uint64)
-    block = max(1, _COIN_BLOCK_FLOATS // max(num_samples, 1))
+    if keys.ndim == 1:
+        keys, probs32 = keys[:, None], probs32[:, None]
+    if len(counts) == 1:
+        column = None  # one block: broadcast, no per-world gather
+        sample_index = np.arange(total, dtype=np.uint64)
+    else:
+        column = np.repeat(np.arange(len(counts)), counts)
+        starts = np.cumsum(counts) - counts
+        sample_index = (
+            np.arange(total) - np.repeat(starts, counts)
+        ).astype(np.uint64)
+    rows = np.empty((len(keys), num_words(total)), dtype=np.uint64)
+    block = max(1, _COIN_BLOCK_FLOATS // max(total, 1))
     for start in range(0, len(keys), block):
         stop = min(start + block, len(keys))
+        row_keys, thresholds = keys[start:stop], probs32[start:stop]
+        if column is not None:
+            row_keys, thresholds = row_keys[:, column], thresholds[:, column]
         rows[start:stop] = _keyed_coin_bits(
-            keys[start:stop], probs32[start:stop], num_samples, sample_index
+            row_keys, thresholds, total, sample_index
         )
     return rows
 
 
 def _keyed_coin_bits(
     keys: np.ndarray,
-    probs32: np.ndarray,
+    thresholds: np.ndarray,
     num_samples: int,
     sample_index: np.ndarray,
 ) -> np.ndarray:
-    """Packed ``(rows, W)`` coin words for the keyed rows ``keys``.
+    """Packed ``(rows, W)`` coin words, one coin per key and world.
 
-    Each coin is the top 24 bits of ``mix64(key + GAMMA * (j + 1))``
-    scaled to [0, 1) — the same 2^-24 grid numpy's float32 ``random()``
-    draws from — compared against the edge's float32 probability.
-    ``random() < 1.0`` always holds and ``< 0.0`` never, so certain
-    edges stay certain.  Because the coin values are fixed by
-    ``(key, j)`` and only the threshold moves, raising an edge's
+    ``keys`` and the float32 ``thresholds`` are ``(rows, 1)`` (one key
+    and probability per row) or ``(rows, Z)`` (one per world);
+    ``sample_index`` is each world's ``j``.  Each coin is the top 24
+    bits of ``mix64(key + GAMMA * (j + 1))`` scaled to [0, 1) — the
+    same 2^-24 grid numpy's float32 ``random()`` draws from — compared
+    against the threshold.  ``random() < 1.0`` always holds and
+    ``< 0.0`` never, so certain edges stay certain (and pinning an
+    edge is a threshold of 1 or 0).  Because the coin values are fixed
+    by ``(key, j)`` and only the threshold moves, raising an edge's
     probability turns bits on without ever turning one off — the
     nesting that makes monotone delta repair exact.
     """
-    x = _mix64(keys[:, None] + _MIX_GAMMA * (sample_index + _ONE64))
+    x = _mix64(keys + _MIX_GAMMA * (sample_index + _ONE64))
     coins = (x >> np.uint64(40)).astype(np.float32) * np.float32(2.0**-24)
-    return pack_bool_matrix(coins < probs32[:, None], num_samples)
+    return pack_bool_matrix(coins < thresholds, num_samples)
 
 
 def num_words(num_samples: int) -> int:
@@ -348,13 +382,10 @@ def sample_worlds(
     plan: QueryPlan,
     num_samples: int,
     rng: np.random.Generator,
-    forced_true: Iterable[int] = (),
-    forced_false: Iterable[int] = (),
+    blocks: Optional[Sequence[SampleBlock]] = None,
 ) -> WorldBatch:
     """Flip coins for every edge in every sample at once.
 
-    ``forced_true`` / ``forced_false`` pin edge ids to a fixed state in
-    all samples — the stratified sampler's conditioning mechanism.
     Probability-1 edges are always present, probability-0 never.
 
     Coins are *identity-keyed*: the generator contributes one uint64
@@ -365,11 +396,38 @@ def sample_worlds(
     that edge bit-identical coins under the same base even when the
     edit renumbered every edge id, which is what lets
     :func:`repair_batch` patch a cached batch instead of resampling it.
+
+    ``blocks`` splits the ``Z`` worlds into contiguous runs
+    ``(count, forced_true, forced_false)`` whose counts sum to ``Z`` —
+    the stratified samplers' conditioning.  Each run draws its own base
+    from ``rng`` in order and pins its ``forced_true`` / ``forced_false``
+    edge ids present / absent in its worlds, so run ``b``'s columns are
+    bit-for-bit the batch ``sample_worlds(plan, count, rng)`` with
+    those pins would have given on the ``b``-th call, packed densely
+    after run ``b - 1``'s (no pad bits between runs; the result is an
+    ordinary prefix-layout batch).  ``blocks=None`` is one unpinned run.
     """
     if sanitize.enabled():
         sanitize.check_probabilities(plan.probs, "sample_worlds: plan.probs")
-    return sample_worlds_keyed(
-        plan, num_samples, coin_base(rng), forced_true, forced_false
+    if blocks is None:
+        return sample_worlds_keyed(plan, num_samples, coin_base(rng))
+    counts = [int(count) for count, _, _ in blocks]
+    if sum(counts) != num_samples or min(counts, default=0) < 1:
+        raise ValueError(
+            f"block counts {counts} must be positive and sum to "
+            f"Z={num_samples}"
+        )
+    bases = np.array([coin_base(rng) for _ in counts], dtype=np.uint64)
+    # Pins are thresholds: coins < 1.0 always hold and < 0.0 never.
+    probs = np.repeat(plan.probs[:, None], len(counts), axis=1)
+    for b, (_count, forced_true, forced_false) in enumerate(blocks):
+        probs[list(forced_true), b] = 1.0
+        probs[list(forced_false), b] = 0.0
+    keys = _identity_keys(bases, plan.edge_u, plan.edge_v, plan.edge_ordinal)
+    return WorldBatch(
+        alive=_keyed_rows(keys, probs, counts),
+        num_samples=num_samples,
+        valid=valid_sample_mask(num_samples),
     )
 
 
@@ -377,8 +435,6 @@ def sample_worlds_keyed(
     plan: QueryPlan,
     num_samples: int,
     base: np.uint64,
-    forced_true: Iterable[int] = (),
-    forced_false: Iterable[int] = (),
 ) -> WorldBatch:
     """:func:`sample_worlds` from an explicit key root instead of a rng.
 
@@ -391,14 +447,8 @@ def sample_worlds_keyed(
     alive = _keyed_rows(
         _identity_keys(base, plan.edge_u, plan.edge_v, plan.edge_ordinal),
         plan.probs,
-        num_samples,
+        [num_samples],
     )
-    forced_true = list(forced_true)
-    forced_false = list(forced_false)
-    if forced_true:
-        alive[forced_true] = valid
-    if forced_false:
-        alive[forced_false] = 0
     return WorldBatch(alive=alive, num_samples=num_samples, valid=valid)
 
 
@@ -419,7 +469,7 @@ def edge_coin_row(
     if sanitize.enabled():
         sanitize.check_probabilities(p, "edge_coin_row: p")
     return _keyed_rows(
-        _identity_keys(base, [u], [v], [ordinal]), [p], num_samples
+        _identity_keys(base, [u], [v], [ordinal]), [p], [num_samples]
     )[0]
 
 
@@ -444,7 +494,7 @@ def edge_coin_rows(
     keys = _identity_keys(
         base, plan.edge_u[ids], plan.edge_v[ids], plan.edge_ordinal[ids]
     )
-    return _keyed_rows(keys, probs, num_samples)
+    return _keyed_rows(keys, probs, [num_samples])
 
 
 @dataclass
@@ -485,8 +535,8 @@ def repair_batch(
     exactly which world-bits each touched edge gained or lost.
 
     Only standard prefix-layout batches repair (same restriction as
-    :func:`batch_to_words`): a concatenated stratified batch interleaves
-    conditioning with its pad layout and must be resampled.
+    :func:`batch_to_words`): a concatenated batch's interior pad bits
+    are not reconstructible from ``Z``, so it must be resampled.
     """
     expected = valid_sample_mask(old_batch.num_samples)
     if (old_batch.valid.shape != expected.shape
@@ -604,9 +654,9 @@ def concat_batches(batches: Sequence[WorldBatch]) -> WorldBatch:
     combined ``valid`` mask has exactly the real sample bits set, and
     every kernel reduction (popcounts, hit fractions, reach sweeps)
     already ignores pad bits, so the concatenated batch behaves exactly
-    like one batch of ``sum(Z_i)`` samples.  Used by the stratified and
-    per-block selection backends to assemble conditioned sample blocks
-    into one shared batch.
+    like one batch of ``sum(Z_i)`` samples.  Used by the adaptive
+    estimator's selection backend to join its sample blocks into one
+    shared batch.
     """
     batches = list(batches)
     if not batches:
@@ -659,25 +709,21 @@ def sample_worlds_stratified(
     ``strata`` is a sequence of ``(forced_true_ids, forced_false_ids,
     weight)`` triples partitioning the probability space; each stratum
     gets a largest-remainder proportional share of ``num_samples`` and
-    its worlds are sampled with the stratum's edges pinned
-    (:func:`sample_worlds`).  Because allocation is proportional, the
-    *uniform* average over the combined batch is the stratified
+    its worlds are one pinned block of a multi-block
+    :func:`sample_worlds` call.  Because allocation is proportional,
+    the *uniform* average over the combined batch is the stratified
     estimator itself (up to integer rounding) — which is what lets the
     selection-gain kernel treat a stratified batch exactly like a plain
     one.  Zero-allocation strata are skipped.
     """
     counts = allocate_proportional([w for _, _, w in strata], num_samples)
-    blocks: List[WorldBatch] = []
-    for (forced_true, forced_false, _w), count in zip(
-            strata, counts, strict=True):
-        if count <= 0:
-            continue
-        blocks.append(
-            sample_worlds(plan, count, rng, forced_true, forced_false)
-        )
-    if not blocks:
-        raise ValueError("no stratum received a positive allocation")
-    return concat_batches(blocks)
+    blocks = [
+        (count, forced_true, forced_false)
+        for (forced_true, forced_false, _w), count in zip(
+            strata, counts, strict=True)
+        if count > 0
+    ]
+    return sample_worlds(plan, num_samples, rng, blocks)
 
 
 def extend_batch(batch: WorldBatch, rows: np.ndarray) -> WorldBatch:

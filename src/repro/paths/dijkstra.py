@@ -60,14 +60,14 @@ class PathGraph:
     * ``adjacency[i]`` lists ``(j, -log p)`` in traversal order: the
       graph's successors in insertion order, then the overlay edges in
       :func:`build_overlay` order.  Edges with ``p <= 0`` are dropped.
-    * ``in_graph[i]`` marks graph nodes; overlay-only endpoints can be
-      reached but never start a search.
+    * Every compiled node can start a search, overlay-only candidate
+      endpoints included (a Yen spur search may start at one).
 
     ``d + (-log p)`` is bit-identical to ``d - log p``, so distances,
     paths and probabilities equal a search over the dict adjacency.
     """
 
-    __slots__ = ("node_ids", "index_of", "adjacency", "in_graph")
+    __slots__ = ("node_ids", "index_of", "adjacency")
 
     def __init__(self, graph: UncertainGraph,
                  extra_edges: Overlay = None) -> None:
@@ -81,9 +81,7 @@ class PathGraph:
         self.index_of: Dict[int, int] = index_of
         log = math.log
         adjacency: List[List[Tuple[int, float]]] = []
-        in_graph = bytearray(len(self.node_ids))
-        for i, u in enumerate(self.node_ids):
-            in_graph[i] = u in graph
+        for u in self.node_ids:
             arcs = [
                 (index_of[v], -log(p))
                 for v, p in graph.successors(u).items() if p > 0.0
@@ -94,7 +92,6 @@ class PathGraph:
             )
             adjacency.append(arcs)
         self.adjacency = adjacency
-        self.in_graph = in_graph
 
 
 def most_reliable_path(
@@ -112,7 +109,9 @@ def most_reliable_path(
     :class:`PathGraph`, which carries its overlay itself.
 
     Returns ``(None, 0.0)`` when no path with positive probability
-    exists or ``source`` is not a graph node.  ``forbidden_nodes``/
+    exists or an endpoint is in neither the graph nor the overlay; an
+    overlay-only endpoint is searched like any other node.
+    ``forbidden_nodes``/
     ``forbidden_edges`` support Yen's spur computations; forbidden
     edges are direction-sensitive keys as traversed (``(u, v)`` means
     the hop u→v is banned).
@@ -120,13 +119,13 @@ def most_reliable_path(
     if source == target:
         return [source], 1.0
     if isinstance(graph, UncertainGraph):
-        if source not in graph or (target not in graph and not extra_edges):
+        if not extra_edges and (source not in graph or target not in graph):
             return None, 0.0
         graph = PathGraph(graph, extra_edges)
     index_of = graph.index_of
     src = index_of.get(source)
     dst = index_of.get(target)
-    if src is None or dst is None or not graph.in_graph[src]:
+    if src is None or dst is None:
         return None, 0.0
     n = len(graph.node_ids)
     # Banned nodes are marked done up front: a done node is never

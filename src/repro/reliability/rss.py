@@ -16,7 +16,7 @@ the effect Tables 6 and 7 measure.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple, Union
 
 import numpy as np
 
@@ -35,6 +35,40 @@ from .estimator import (
 )
 
 EdgeKey = Tuple[int, int]
+
+#: A recorded Monte Carlo leaf: its sample count and pinned edge states.
+_Leaf = Tuple[int, Dict[EdgeKey, bool]]
+
+#: An s-t stratification tree: a constant, a leaf slot (index into the
+#: recorded leaves), or ``(weight, subtree)`` terms summed in order.
+_Tree = Union[float, int, List[Tuple[float, "_Tree"]]]
+
+#: A reach-vector term: ``(weight, leaf slot)`` or ``(weight, certain
+#: region)`` — a node set reached in every world of its stratum.
+_Term = Tuple[float, Union[int, Set[int]]]
+
+
+def _leaf(leaves: List[_Leaf], num_samples: int,
+          forced: Dict[EdgeKey, bool]) -> int:
+    """Record a leaf and return its slot.
+
+    ``forced`` is stored, not copied: the recursion never mutates a
+    dict after passing it down.
+    """
+    leaves.append((num_samples, forced))
+    return len(leaves) - 1
+
+
+def _evaluate(tree: _Tree, values: List[float]) -> float:
+    """Sum a stratification tree term by term, as the eager recursion did."""
+    if isinstance(tree, list):
+        estimate = 0.0
+        for weight, subtree in tree:
+            estimate += weight * _evaluate(subtree, values)
+        return estimate
+    if isinstance(tree, int):
+        return values[tree]
+    return tree
 
 
 class _Adjacency:
@@ -75,12 +109,22 @@ class RecursiveStratifiedSampler(ReliabilityEstimator):
 
     Notes
     -----
-    The Monte Carlo leaves of the stratification tree run on the batch
-    engine; the stratum recursion itself stays in Python — it is
-    structure discovery, not sampling.
+    Leaves are deferred.  The stratum recursion runs first, in Python
+    (it is structure discovery, not sampling), and only *records* each
+    Monte Carlo leaf: its sample count and pinned edges, plus its
+    weight for reachability vectors or its slot in an expression tree
+    for s-t reliability.  All leaves of one estimate are then answered
+    by one keyed batch, each leaf's worlds a contiguous block with its
+    own coin base, and one sweep
+    (:meth:`~repro.engine.VectorizedSamplingEngine.stratified_leaf_counts`);
+    a per-leaf count over each block finishes the job.  The result is
+    bit-for-bit what one batch and sweep per leaf gave: leaves draw
+    their bases from the generator in the same visit order, worlds
+    never read each other's bits, and the arithmetic replays in the
+    same order (the s-t tree term by term; ``weight * (count / Z)``
+    per leaf and ``weight`` per certain region for vectors).
 
-    Not thread-safe: beyond the generator, the estimator briefly stores
-    the active query's compiled plan while the recursion runs.
+    Not thread-safe: the generator is shared state.
     """
 
     name = "rss"
@@ -102,7 +146,6 @@ class RecursiveStratifiedSampler(ReliabilityEstimator):
         self.mc_threshold = mc_threshold
         self.max_depth = max_depth
         self._engine = VectorizedSamplingEngine(seed)
-        self._active_plan = None
 
     # ------------------------------------------------------------------
     # batched selection backend (per-stratum shared worlds)
@@ -172,11 +215,18 @@ class RecursiveStratifiedSampler(ReliabilityEstimator):
             return 0.0
         extra = list(extra_edges) if extra_edges else None
         adj = _Adjacency(graph, build_overlay(graph, extra))
-        self._active_plan = build_query_plan(graph, extra)
-        try:
-            return self._estimate(adj, source, target, {}, self.num_samples, 0)
-        finally:
-            self._active_plan = None
+        plan = build_query_plan(graph, extra)
+        leaves: List[_Leaf] = []
+        tree = self._estimate(
+            adj, source, target, {}, self.num_samples, 0, leaves
+        )
+        values: List[float] = []
+        if leaves:
+            hits = self._engine.stratified_leaf_counts(
+                plan, source, leaves, target
+            )
+            values = [int(h) / count for h, (count, _) in zip(hits, leaves)]
+        return _evaluate(tree, values)
 
     def reachability_from(
         self,
@@ -188,16 +238,38 @@ class RecursiveStratifiedSampler(ReliabilityEstimator):
             return {}
         extra = list(extra_edges) if extra_edges else None
         adj = _Adjacency(graph, build_overlay(graph, extra))
-        self._active_plan = build_query_plan(graph, extra)
-        counts: Dict[int, float] = {}
-        try:
-            self._estimate_vector(
-                adj, source, {}, self.num_samples, 0, 1.0, counts
-            )
-        finally:
-            self._active_plan = None
-        counts[source] = 1.0
-        return counts
+        plan = build_query_plan(graph, extra)
+        leaves: List[_Leaf] = []
+        terms: List[_Term] = []
+        self._estimate_vector(
+            adj, source, {}, self.num_samples, 0, 1.0, leaves, terms
+        )
+        counts = (
+            self._engine.stratified_leaf_counts(plan, source, leaves)
+            if leaves else None
+        )
+        # Replays the eager recursion's accumulation order per node:
+        # terms in visit order, ``weight * (count / Z)`` per leaf, plain
+        # ``weight`` per certain region.  Adding ``+0.0`` for a node a
+        # leaf missed leaves its sum bit-for-bit unchanged.
+        total = np.zeros(plan.num_nodes)
+        touched = np.zeros(plan.num_nodes, dtype=bool)
+        for weight, term in terms:
+            if isinstance(term, int):
+                column = counts[:, term]
+                total += weight * (column / leaves[term][0])
+                touched |= column > 0
+            else:
+                nodes = [plan.node_index(node) for node in term]
+                total[nodes] += weight
+                touched[nodes] = True
+        rows = np.flatnonzero(touched)
+        result = {
+            plan.node_ids[i]: value
+            for i, value in zip(rows.tolist(), total[rows].tolist())
+        }
+        result[source] = 1.0
+        return result
 
     # ------------------------------------------------------------------
     # s-t recursion
@@ -210,36 +282,39 @@ class RecursiveStratifiedSampler(ReliabilityEstimator):
         forced: Dict[EdgeKey, bool],
         budget: int,
         depth: int,
-    ) -> float:
+        leaves: List[_Leaf],
+    ) -> _Tree:
         certain = self._certain_region(adj, source, forced)
         if target in certain:
             return 1.0
         if target not in self._potential_region(adj, source, forced):
             return 0.0
         if depth >= self.max_depth or budget < self.mc_threshold:
-            return self._monte_carlo(source, target, forced, max(budget, 1))
+            return _leaf(leaves, max(budget, 1), forced)
 
         strata_edges = self._select_strata_edges(adj, certain, forced)
         if not strata_edges:
             return 0.0  # no undetermined frontier: target unreachable
 
-        estimate = 0.0
+        terms: List[Tuple[float, _Tree]] = []
         prefix_absent = 1.0
         forced_base = dict(forced)
         for _u, _v, p, key in strata_edges:
             pi = prefix_absent * p
             stratum_forced = dict(forced_base)
             stratum_forced[key] = True
-            estimate += pi * self._recurse(
-                adj, source, target, stratum_forced, pi, budget, depth
-            )
+            terms.append((pi, self._recurse(
+                adj, source, target, stratum_forced, pi, budget, depth,
+                leaves,
+            )))
             forced_base[key] = False
             prefix_absent *= 1.0 - p
         if prefix_absent > 0.0:
-            estimate += prefix_absent * self._recurse(
-                adj, source, target, forced_base, prefix_absent, budget, depth
-            )
-        return estimate
+            terms.append((prefix_absent, self._recurse(
+                adj, source, target, forced_base, prefix_absent, budget,
+                depth, leaves,
+            )))
+        return terms
 
     def _recurse(
         self,
@@ -250,14 +325,17 @@ class RecursiveStratifiedSampler(ReliabilityEstimator):
         pi: float,
         budget: int,
         depth: int,
-    ) -> float:
+        leaves: List[_Leaf],
+    ) -> _Tree:
         allocated = int(round(budget * pi))
         if pi <= 1e-12:
             return 0.0
         allocated = max(allocated, 1)
         if allocated < self.mc_threshold:
-            return self._monte_carlo(source, target, forced, allocated)
-        return self._estimate(adj, source, target, forced, allocated, depth + 1)
+            return _leaf(leaves, allocated, forced)
+        return self._estimate(
+            adj, source, target, forced, allocated, depth + 1, leaves
+        )
 
     # ------------------------------------------------------------------
     # vector (reachability-from) recursion
@@ -270,17 +348,17 @@ class RecursiveStratifiedSampler(ReliabilityEstimator):
         budget: int,
         depth: int,
         weight: float,
-        out: Dict[int, float],
+        leaves: List[_Leaf],
+        terms: List[_Term],
     ) -> None:
-        """Accumulate ``weight * P(node reachable)`` into ``out``."""
+        """Record ``weight * P(node reachable)`` terms in visit order."""
         certain = self._certain_region(adj, source, forced)
         if depth >= self.max_depth or budget < self.mc_threshold:
-            self._monte_carlo_vector(source, forced, max(budget, 1), weight, out)
+            terms.append((weight, _leaf(leaves, max(budget, 1), forced)))
             return
         strata_edges = self._select_strata_edges(adj, certain, forced)
         if not strata_edges:
-            for node in certain:
-                out[node] = out.get(node, 0.0) + weight
+            terms.append((weight, certain))
             return
         prefix_absent = 1.0
         forced_base = dict(forced)
@@ -291,27 +369,28 @@ class RecursiveStratifiedSampler(ReliabilityEstimator):
                 stratum_forced[key] = True
                 allocated = max(int(round(budget * pi)), 1)
                 if allocated < self.mc_threshold:
-                    self._monte_carlo_vector(
-                        source, stratum_forced, allocated, weight * pi, out
-                    )
+                    terms.append((
+                        weight * pi,
+                        _leaf(leaves, allocated, stratum_forced),
+                    ))
                 else:
                     self._estimate_vector(
                         adj, source, stratum_forced, allocated,
-                        depth + 1, weight * pi, out,
+                        depth + 1, weight * pi, leaves, terms,
                     )
             forced_base[key] = False
             prefix_absent *= 1.0 - p
         if prefix_absent > 1e-12:
             allocated = max(int(round(budget * prefix_absent)), 1)
             if allocated < self.mc_threshold:
-                self._monte_carlo_vector(
-                    source, forced_base, allocated,
-                    weight * prefix_absent, out,
-                )
+                terms.append((
+                    weight * prefix_absent,
+                    _leaf(leaves, allocated, forced_base),
+                ))
             else:
                 self._estimate_vector(
                     adj, source, forced_base, allocated,
-                    depth + 1, weight * prefix_absent, out,
+                    depth + 1, weight * prefix_absent, leaves, terms,
                 )
 
     # ------------------------------------------------------------------
@@ -374,28 +453,3 @@ class RecursiveStratifiedSampler(ReliabilityEstimator):
                     candidates[key] = (u, v, p, key)
         ranked = sorted(candidates.values(), key=lambda item: -item[2])
         return ranked[: self.num_stratify_edges]
-
-    def _monte_carlo(
-        self,
-        source: int,
-        target: int,
-        forced: Dict[EdgeKey, bool],
-        num_samples: int,
-    ) -> float:
-        return self._engine.stratified_reliability(
-            self._active_plan, source, target, forced, num_samples
-        )
-
-    def _monte_carlo_vector(
-        self,
-        source: int,
-        forced: Dict[EdgeKey, bool],
-        num_samples: int,
-        weight: float,
-        out: Dict[int, float],
-    ) -> None:
-        counts = self._engine.stratified_reach_counts(
-            self._active_plan, source, forced, num_samples
-        )
-        for node, fraction in counts.items():
-            out[node] = out.get(node, 0.0) + weight * fraction

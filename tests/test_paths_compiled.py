@@ -7,7 +7,11 @@ before the compiled form: heap entries ``(d, node_id)``, neighbours in
 ``successors`` order then overlay order, ``d - log p`` relaxations.
 The compiled search must return the same ``(path, probability)`` lists
 with ``==`` — not approximately — including on graphs built to have
-exact weight ties, so tie-breaking is pinned too.
+exact weight ties, so tie-breaking is pinned too.  One difference from
+the old dict search is deliberate: a search may start at a node only
+the overlay has (the old search answered ``(None, 0.0)``, so Yen never
+spurred from such a node); the oracle starts there too, and a
+brute-force enumeration of simple paths pins the corrected answer.
 
 Seeds are fixed here and never re-chosen.
 """
@@ -45,7 +49,7 @@ def oracle_path(graph, source, target, extra_edges=None,
                 forbidden_nodes=None, forbidden_edges=None):
     if source == target:
         return [source], 1.0
-    if source not in graph or (target not in graph and not extra_edges):
+    if not extra_edges and (source not in graph or target not in graph):
         return None, 0.0
     overlay = build_overlay(graph, extra_edges)
     banned_nodes = forbidden_nodes or ()
@@ -235,18 +239,52 @@ def test_ties_are_exercised():
     assert len(set(probs)) < len(probs)
 
 
-def test_source_must_be_a_graph_node():
-    """An overlay-only node never starts a search, even a spur search."""
-    graph = UncertainGraph.from_edges([(0, 1, 0.5)])
-    overlay = [(1, 7, 0.5), (7, 2, 0.5), (1, 2, 0.1)]
-    assert most_reliable_path(graph, 7, 2, overlay) == (None, 0.0)
-    assert most_reliable_path(PathGraph(graph, overlay), 7, 2) == (None, 0.0)
-    assert most_reliable_path(graph, 0, 2, overlay) == oracle_path(
-        graph, 0, 2, overlay
+def brute_force_paths(graph, source, target, extra_edges):
+    """Every simple source-target path of ``G+``, most reliable first."""
+    adjacency: Dict[int, Dict[int, float]] = {}
+    for u, v, p in list(graph.edges()) + list(extra_edges):
+        arcs = [(u, v)] if graph.directed else [(u, v), (v, u)]
+        for a, b in arcs:
+            adjacency.setdefault(a, {}).setdefault(b, p)
+    found = []
+
+    def walk(path):
+        if path[-1] == target:
+            prob = 1.0
+            for a, b in zip(path, path[1:]):
+                prob *= adjacency[a][b]
+            found.append((path, prob))
+            return
+        for nxt, p in adjacency.get(path[-1], {}).items():
+            if nxt not in path and p > 0.0:
+                walk(path + [nxt])
+
+    walk([source])
+    return sorted(found, key=lambda item: -item[1])
+
+
+def test_overlay_only_nodes_start_searches():
+    """A spur search may start at a node only the overlay has.
+
+    Node 7 exists only as a candidate endpoint; the second most
+    reliable path leaves it for 3, which Yen finds only by spurring
+    from 7.
+    """
+    graph = UncertainGraph.from_edges([(0, 1, 0.9), (3, 4, 0.9)])
+    overlay = [(1, 7, 0.9), (7, 2, 0.9), (7, 3, 0.9), (3, 2, 0.9),
+               (1, 2, 0.1)]
+    assert most_reliable_path(graph, 7, 2, overlay) == ([7, 2], 0.9)
+    assert most_reliable_path(PathGraph(graph, overlay), 7, 2) == ([7, 2], 0.9)
+    want = brute_force_paths(graph, 0, 2, overlay)
+    assert [path for path, _ in want] == [
+        [0, 1, 7, 2], [0, 1, 7, 3, 2], [0, 1, 2]
+    ]
+    got = top_l_most_reliable_paths(graph, 0, 2, 5, overlay)
+    assert [path for path, _ in got] == [path for path, _ in want]
+    assert [prob for _, prob in got] == pytest.approx(
+        [prob for _, prob in want], rel=1e-12
     )
-    assert top_l_most_reliable_paths(graph, 0, 2, 5, overlay) == (
-        oracle_top_l(graph, 0, 2, 5, overlay)
-    )
+    assert got == oracle_top_l(graph, 0, 2, 5, overlay)
 
 
 def test_path_graph_layout():
@@ -257,7 +295,6 @@ def test_path_graph_layout():
     graph.add_edge(9, 3, 0.0)
     compiled = PathGraph(graph, [(9, 4, 0.25), (5, 9, 1.0)])
     assert compiled.node_ids == [3, 4, 5, 9]
-    assert list(compiled.in_graph) == [1, 0, 1, 1]
     # Graph successors first (p = 0 dropped), then overlay edges.
     assert compiled.adjacency[3] == [(2, -math.log(0.5)), (1, -math.log(0.25))]
     assert compiled.adjacency[2] == [(3, -math.log(1.0))]

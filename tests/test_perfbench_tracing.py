@@ -41,3 +41,36 @@ def test_every_traced_name_resolves_and_restores(monkeypatch):
         undo()
     for entry, original in zip(entries, originals):
         assert tracing._resolve(*entry)[2] is original, entry
+
+
+def test_be_query_records_every_expected_layer(monkeypatch):
+    """A small BE query reaches every layer the benchmark expects.
+
+    Resolving names is not enough: a layer that calls the engine
+    through a different module global (or compiles its plan through
+    another entry point) leaves its traced name unused, and the traced
+    benchmark then fails with ``TraceError``.  This runs the paper's
+    pipeline once under the tracer and checks every expected layer
+    recorded at least one call.  As in the benchmark, a warm-up query
+    runs first, so the session's cached plan and world batch do not
+    stand in for the per-query layers.
+    """
+    from repro import MaximizeQuery, Session
+    from repro.graph import assign_uniform, erdos_renyi
+
+    tracing = load_tracing(monkeypatch)
+    graph = assign_uniform(erdos_renyi(150, num_edges=450, seed=4),
+                           0.05, 0.5, seed=4)
+    session = Session(graph, r=20, l=10)
+    session.run([MaximizeQuery(3, 90, k=2, zeta=0.5)])
+    tracer = tracing.Tracer()
+    undo = tracing.install(tracer)
+    try:
+        result = session.run([MaximizeQuery(0, 75, k=2, zeta=0.5)])[0]
+    finally:
+        undo()
+    assert result.edges
+    recorded = tracer.snapshot()
+    tracing.check_expected("maximize-be", recorded)
+    for name in tracing.EXPECTED["maximize-be"]:
+        assert recorded["spans"][name][0] >= 1, name
